@@ -129,13 +129,18 @@
 // The sharded pipeline also runs across processes. A ShardServer owns one
 // shard — an index, optionally durable via Options.Dir — and serves a small
 // length-prefixed binary protocol over TCP (DESIGN.md documents the wire
-// format): streamed ingest, snapshot fetches with a version-checked
-// not-modified fast path, summary digests, and server-side sample batches.
-// Connect dials S such servers and returns a RemoteCollection mirroring
-// ShardedCollection's estimate surface: inserts route to their home shard
-// with the same content hashing, reads fetch per-shard snapshots in
-// parallel (cached by version), reassemble the group view, and run the
-// merged estimators locally under the identical seed-stream discipline.
+// format): streamed ingest, snapshot and delta fetches, summary digests,
+// and server-side sample batches. Connect dials S such servers and returns
+// a RemoteCollection mirroring ShardedCollection's estimate surface:
+// inserts route to their home shard with the same content hashing, and
+// reads bring the coordinator's per-shard index copies up to date in
+// parallel, reassemble the group view, and run the merged estimators
+// locally under the identical seed-stream discipline. An unchanged shard
+// costs a not-modified round trip and a grown one ships only the vectors
+// appended since the coordinator's copy, which the coordinator signs and
+// publishes itself; a full snapshot ships only on the first fetch, after
+// a server restart (each server start draws a new epoch), or after a
+// delta the copy could not reproduce.
 // A distributed estimate is therefore bit-equal — not approximately equal —
 // to the in-process sharded one for the same vectors, options and
 // estimator seeds; a property test pins this over real sockets for all ten

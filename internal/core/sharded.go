@@ -348,7 +348,7 @@ func NewMergedLSHSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*L
 		return nil, err
 	}
 	e.strat = ms
-	e.view = sliceView(gs.Data())
+	e.view = gs // locates each sampled vector; no per-estimator union copy
 	return e, nil
 }
 

@@ -16,6 +16,7 @@ package exactjoin
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"lshjoin/internal/vecmath"
@@ -65,7 +66,7 @@ func (j *Joiner) M() int64 { return int64(j.n) * int64(j.n-1) / 2 }
 // are handled in one accumulation pass regardless of how many there are.
 func (j *Joiner) Counts(thresholds []float64) ([]int64, error) {
 	for _, t := range thresholds {
-		if t <= 0 || t > 1 {
+		if math.IsNaN(t) || t <= 0 || t > 1 {
 			return nil, fmt.Errorf("exactjoin: thresholds must be in (0, 1], got %v", t)
 		}
 	}
@@ -199,7 +200,7 @@ type Pair struct {
 // frequent features relegated to the unindexed suffix, their huge posting
 // lists never generate candidates.
 func (j *Joiner) Pairs(tau float64) ([]Pair, error) {
-	if tau <= 0 || tau > 1 {
+	if math.IsNaN(tau) || tau <= 0 || tau > 1 {
 		return nil, fmt.Errorf("exactjoin: tau must be in (0, 1], got %v", tau)
 	}
 	// Per-dimension max weight over the normalized collection.

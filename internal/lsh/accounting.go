@@ -45,6 +45,19 @@ func sliceShared[T any](cur, base []T) bool {
 	return len(base) > 0 && len(cur) >= len(base) && &cur[0] == &base[0]
 }
 
+// unsharedEntries counts the entries of the overlay shard maps in cur that
+// are not the very map base holds for the same shard.
+func unsharedEntries[K comparable](cur, base []map[K]int32) int64 {
+	var n int64
+	for s, m := range cur {
+		if s < len(base) && mapPtr(m) == mapPtr(base[s]) {
+			continue
+		}
+		n += int64(len(m))
+	}
+	return n
+}
+
 // mapPtr returns the identity of a map value (0 for nil).
 func mapPtr[K comparable, V any](m map[K]V) uintptr {
 	if m == nil {
@@ -128,11 +141,13 @@ func (t *Table) retainedBytes(bt *Table) int64 {
 	if !baseShared {
 		total += mapEntryBytes * int64(t.nbase)
 	}
-	ovlShared := bt != nil &&
-		mapPtr(t.ovl64) == mapPtr(bt.ovl64) && mapPtr(t.ovlStr) == mapPtr(bt.ovlStr)
-	if !ovlShared {
-		total += mapEntryBytes * int64(len(t.ovl64)+len(t.ovlStr))
+	// Overlay maps are copied shard by shard as merges add keys to them.
+	var baseOvl64 []map[uint64]int32
+	var baseOvlStr []map[string]int32
+	if bt != nil {
+		baseOvl64, baseOvlStr = bt.ovl64, bt.ovlStr
 	}
+	total += mapEntryBytes * (unsharedEntries(t.ovl64, baseOvl64) + unsharedEntries(t.ovlStr, baseOvlStr))
 	// Fenwick nodes and buckets: walk this table's tree, pruning every
 	// subtree shared with the base version, and charge new leaves against
 	// the base bucket at the same index (bucket indices are stable — the

@@ -23,7 +23,6 @@ type Bipartite struct {
 }
 
 type bucketMatch struct {
-	key         string
 	left, right []int32
 }
 
@@ -44,19 +43,18 @@ func NewBipartite(left, right *Snapshot, t int) (*Bipartite, error) {
 	b := &Bipartite{left: left, right: right, table: t,
 		ltab: left.Table(t), rtab: right.Table(t)}
 	// Deterministic order: iterate left buckets in insertion order. Narrow
-	// tables match on machine words; only the stored diagnostic key is a
-	// string.
+	// tables match on machine words.
 	if b.ltab.Narrow() {
 		b.ltab.w.walk(func(_ int, lb *bucket) bool {
 			if rids := b.rtab.bucket64(lb.key64); len(rids) > 0 {
-				b.matches = append(b.matches, bucketMatch{key: key64String(lb.key64), left: lb.ids, right: rids})
+				b.matches = append(b.matches, bucketMatch{left: lb.ids, right: rids})
 			}
 			return true
 		})
 	} else {
 		b.ltab.ForEachBucket(func(key string, ids []int32) bool {
 			if rids := b.rtab.BucketIDs(key); len(rids) > 0 {
-				b.matches = append(b.matches, bucketMatch{key: key, left: ids, right: rids})
+				b.matches = append(b.matches, bucketMatch{left: ids, right: rids})
 			}
 			return true
 		})

@@ -18,9 +18,12 @@ import "lshjoin/internal/vecmath"
 // touches get fresh headers, and each lands in the weight tree with one
 // O(log #buckets) path copy; there is no bucket-order copy and no prefix-sum
 // rebuild, which is what makes per-insert publication affordable on large
-// tables. Appends to shared backing arrays are safe because exactly one
-// writer extends them (serialized by Index.mu) and readers of older versions
-// never index past their own length.
+// tables. New bucket keys land in the overlay lookup maps, sharded like the
+// base maps, so a merge copies only the overlay shards its new keys hash to
+// — about d/tableShards of the overlay — never the whole overlay. Appends
+// to shared backing arrays are safe because exactly one writer extends them
+// (serialized by Index.mu) and readers of older versions never index past
+// their own length.
 
 // merge64 returns a new narrow-mode table extending t with the pending
 // bucket keys, leaving t untouched for its readers.
@@ -31,6 +34,7 @@ func (t *Table) merge64(keys []uint64) *Table {
 		base64: t.base64,
 		nbase:  t.nbase,
 		ovl64:  t.ovl64,
+		novl:   t.novl,
 		w:      t.w, // O(1) copy; set/push below path-copy away from t's root
 	}
 	// touched maps bucket index → this merge's private header, so a bucket
@@ -39,21 +43,16 @@ func (t *Table) merge64(keys []uint64) *Table {
 	size0 := t.w.size
 	touched := make(map[int32]*bucket, len(keys))
 	var appended []*bucket
-	ovlCopied := false
+	var owned uint64 // bit s set: nt.ovl64[s] is this merge's private copy
 	for i, key := range keys {
 		id := int32(t.n + i)
 		bi, ok := nt.bucketIndex64(key)
 		if !ok {
-			if !ovlCopied {
-				m := make(map[uint64]int32, len(t.ovl64)+len(keys)-i)
-				for k2, v2 := range t.ovl64 {
-					m[k2] = v2
-				}
-				nt.ovl64 = m
-				ovlCopied = true
-			}
+			s := shard64(key)
+			nt.ovl64 = ownOverlay(nt.ovl64, t.ovl64, &owned, s)
 			bi = int32(size0 + len(appended))
-			nt.ovl64[key] = bi
+			nt.ovl64[s][key] = bi
+			nt.novl++
 			appended = append(appended, &bucket{key64: key, ids: []int32{id}})
 			continue
 		}
@@ -72,6 +71,26 @@ func (t *Table) merge64(keys []uint64) *Table {
 	nt.applyDelta(touched, appended)
 	nt.maybeCompact()
 	return nt
+}
+
+// ownOverlay makes shard s of a merge's overlay maps private to the merge,
+// copying the predecessor's shard map (and, on the merge's first new key,
+// the shard slice) the first time the merge touches it; readers of the
+// predecessor keep their maps untouched. It returns the merge's slice.
+func ownOverlay[K comparable](cur, prev []map[K]int32, owned *uint64, s int) []map[K]int32 {
+	if *owned == 0 {
+		cur = make([]map[K]int32, tableShards)
+		copy(cur, prev)
+	}
+	if *owned&(1<<s) == 0 {
+		m := make(map[K]int32, len(cur[s])+1)
+		for k, v := range cur[s] {
+			m[k] = v
+		}
+		cur[s] = m
+		*owned |= 1 << s
+	}
+	return cur
 }
 
 // applyDelta publishes a merge's touched and appended buckets into the new
@@ -112,26 +131,22 @@ func (t *Table) mergeStr(keys []string) *Table {
 		baseStr: t.baseStr,
 		nbase:   t.nbase,
 		ovlStr:  t.ovlStr,
+		novl:    t.novl,
 		w:       t.w,
 	}
 	size0 := t.w.size
 	touched := make(map[int32]*bucket, len(keys))
 	var appended []*bucket
-	ovlCopied := false
+	var owned uint64
 	for i, key := range keys {
 		id := int32(t.n + i)
 		bi, ok := nt.bucketIndexStr(key)
 		if !ok {
-			if !ovlCopied {
-				m := make(map[string]int32, len(t.ovlStr)+len(keys)-i)
-				for k2, v2 := range t.ovlStr {
-					m[k2] = v2
-				}
-				nt.ovlStr = m
-				ovlCopied = true
-			}
+			s := shardStr(key)
+			nt.ovlStr = ownOverlay(nt.ovlStr, t.ovlStr, &owned, s)
 			bi = int32(size0 + len(appended))
-			nt.ovlStr[key] = bi
+			nt.ovlStr[s][key] = bi
+			nt.novl++
 			appended = append(appended, &bucket{keyStr: key, ids: []int32{id}})
 			continue
 		}
@@ -157,8 +172,7 @@ func (t *Table) mergeStr(keys []string) *Table {
 // quarter of the base, so its O(#buckets) cost amortizes over the merges
 // that grew the overlay.
 func (t *Table) maybeCompact() {
-	ovl := len(t.ovl64) + len(t.ovlStr)
-	if ovl <= 256 || ovl*4 <= t.nbase {
+	if t.novl <= 256 || t.novl*4 <= t.nbase {
 		return
 	}
 	if t.narrow {
@@ -184,7 +198,7 @@ func (t *Table) maybeCompact() {
 		})
 		t.baseStr, t.ovlStr = base, nil
 	}
-	t.nbase = t.w.size
+	t.nbase, t.novl = t.w.size, 0
 }
 
 // Insert hashes v into every table's pending delta and logically appends it
@@ -196,6 +210,17 @@ func (t *Table) maybeCompact() {
 func (x *Index) Insert(v vecmath.Vector) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	id := x.appendLocked(v)
+	x.npend.Add(1)
+	if x.hook != nil {
+		x.hook.OnInsert(id, v)
+	}
+	return id
+}
+
+// appendLocked hashes v into every table's pending delta one hash value at
+// a time and appends it, returning its id. Callers hold x.mu.
+func (x *Index) appendLocked(v vecmath.Vector) int {
 	cur := x.cur.Load()
 	if len(x.scratch) < cur.k {
 		x.scratch = make([]uint64, cur.k)
@@ -212,19 +237,39 @@ func (x *Index) Insert(v vecmath.Vector) int {
 			x.pendStr[t] = append(x.pendStr[t], packKey(vals, bits))
 		}
 	}
-	x.npend.Add(1)
-	if x.hook != nil {
-		x.hook.OnInsert(id, v)
-	}
 	return id
 }
 
-// InsertBatch inserts vectors in order and returns the id of the first. The
-// batch is signed by the signature engine — keyed-stream rows shared by the
-// batch are computed once, and signing runs in parallel — so bulk loading
-// costs far less than len(vs) repeated Inserts. Like Insert, the batch lands
-// in the pending delta and is published by the next Snapshot.
+// smallBatch is the largest batch InsertBatch hashes vector by vector like
+// Insert: below it the signature engine's row materialization and worker
+// fan-out cost more than they share (20k-vector DBLP index, k=20, ℓ=2, on
+// a 2-vCPU Xeon: 1 vector 16 vs 8 µs, 4 vectors 55 vs 49 µs, 8 vectors 83
+// vs 100 µs),
+// and the engine allocates per batch where single-vector hashing does not.
+// Both paths produce the same keys (engine_test pins batch signing to
+// single-vector hashing).
+const smallBatch = 4
+
+// InsertBatch inserts vectors in order and returns the id of the first. A
+// batch of more than smallBatch vectors is signed by the signature engine —
+// keyed-stream rows shared by the batch are computed once, and signing runs
+// in parallel — so bulk loading costs far less than len(vs) repeated
+// Inserts; a smaller one is hashed like Insert. Like Insert, the batch
+// lands in the pending delta and is published by the next Snapshot.
 func (x *Index) InsertBatch(vs []vecmath.Vector) int {
+	if len(vs) > 0 && len(vs) <= smallBatch {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		first := x.appendLocked(vs[0])
+		for _, v := range vs[1:] {
+			x.appendLocked(v)
+		}
+		x.npend.Add(int64(len(vs)))
+		if x.hook != nil {
+			x.hook.OnInsertBatch(first, vs)
+		}
+		return first
+	}
 	// Sign outside the writer lock: the signatures are a pure function of
 	// (family, k, ℓ, vs) — all version-invariant — so a long batch never
 	// stalls readers that publish, only the final appends serialize.

@@ -126,3 +126,44 @@ func TestInsertVisibleToQueries(t *testing.T) {
 		t.Error("inserted vector not found by Search at τ≈1")
 	}
 }
+
+// PublishAt publishes the pending delta under the given version — the same
+// merge as Snapshot, only stamped differently — and refuses a version that
+// does not advance or an empty delta without touching the index.
+func TestPublishAt(t *testing.T) {
+	data := randData(120, 60, 8, 5)
+	x, err := Build(data[:80], NewSimHash(6), 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := Build(data[:80], NewSimHash(6), 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.PublishAt(7); err == nil {
+		t.Fatal("PublishAt with nothing pending succeeded")
+	}
+	x.InsertBatch(data[80:])
+	y.InsertBatch(data[80:])
+	if _, err := x.PublishAt(1); err == nil || x.Current().Version() != 1 {
+		t.Fatalf("PublishAt(1) over version 1: err %v, version %d", err, x.Current().Version())
+	}
+	got, err := x.PublishAt(7)
+	if err != nil || got.Version() != 7 || x.Current() != got || x.Pending() != 0 {
+		t.Fatalf("PublishAt(7) = v%d, %v (pending %d)", got.Version(), err, x.Pending())
+	}
+	want := y.Snapshot()
+	for ti := 0; ti < want.L(); ti++ {
+		if got.Table(ti).NH() != want.Table(ti).NH() || got.Table(ti).NumBuckets() != want.Table(ti).NumBuckets() {
+			t.Fatalf("table %d differs from the sequential publish", ti)
+		}
+		rg, rw := xrand.New(9), xrand.New(9)
+		for d := 0; d < 40; d++ {
+			i1, j1, ok1 := got.Table(ti).SamplePair(rg)
+			i2, j2, ok2 := want.Table(ti).SamplePair(rw)
+			if i1 != i2 || j1 != j2 || ok1 != ok2 {
+				t.Fatalf("table %d draw %d: (%d, %d) vs (%d, %d)", ti, d, i1, j1, i2, j2)
+			}
+		}
+	}
+}

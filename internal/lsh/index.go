@@ -169,8 +169,35 @@ func (x *Index) publishLocked() *Snapshot {
 	if len(x.pendData) == 0 {
 		return cur
 	}
+	return x.publishAtLocked(cur.version + 1)
+}
+
+// PublishAt publishes the pending inserts stamped with version rather than
+// the next sequential one: a coordinator mirroring a shard server appends
+// the vectors the server published since the coordinator's copy, and its
+// copy must then carry the server's version, however many publishes the
+// server cut in between. version must exceed the current version and the
+// pending delta must be non-empty. The merge is the ordinary publish, so
+// the incremental-publish-equals-rebuild property covers the result.
+func (x *Index) PublishAt(version uint64) (*Snapshot, error) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	cur := x.cur.Load()
+	if len(x.pendData) == 0 {
+		return nil, fmt.Errorf("lsh: publish at version %d: nothing pending", version)
+	}
+	if version <= cur.version {
+		return nil, fmt.Errorf("lsh: publish at version %d: current version is %d", version, cur.version)
+	}
+	return x.publishAtLocked(version), nil
+}
+
+// publishAtLocked publishes the non-empty pending delta as version.
+// Callers must hold x.mu.
+func (x *Index) publishAtLocked(version uint64) *Snapshot {
+	cur := x.cur.Load()
 	next := &Snapshot{
-		version: cur.version + 1,
+		version: version,
 		family:  cur.family,
 		k:       cur.k,
 		ell:     cur.ell,

@@ -169,9 +169,36 @@ func appendVector(buf []byte, v vecmath.Vector) []byte {
 	return buf
 }
 
-// decodeVector inverts appendVector, validating through vecmath.New so
-// corrupt entries (non-finite weights, overflowing dims) are rejected.
-func decodeVector(c *cursor) (vecmath.Vector, error) {
+// entryArena hands out the entry slices of a decoded vector batch from
+// shared chunks, so a batch costs a few allocations instead of one or more
+// per vector. Each slice is capacity-clamped, so no append on one vector can
+// reach its neighbour's entries.
+type entryArena struct {
+	free  []vecmath.Entry
+	chunk int
+}
+
+// newEntryArena sizes chunks for a payload of the given length: every
+// entry takes at least 5 encoded bytes, so a small batch never gets more
+// than it can use.
+func newEntryArena(payloadLen int) *entryArena {
+	return &entryArena{chunk: min(payloadLen/5+1, 4096)}
+}
+
+func (a *entryArena) take(n int) []vecmath.Entry {
+	if len(a.free) < n {
+		a.free = make([]vecmath.Entry, max(n, a.chunk))
+	}
+	es := a.free[:n:n]
+	a.free = a.free[n:]
+	return es
+}
+
+// decodeVector inverts appendVector. Canonical entries (what appendVector
+// writes) become the vector in place; anything else goes through
+// vecmath.New, so corrupt entries (non-finite weights) are rejected and
+// non-canonical ones normalized exactly as before.
+func decodeVector(c *cursor, arena *entryArena) (vecmath.Vector, error) {
 	nnz, err := c.uvarint()
 	if err != nil {
 		return vecmath.Vector{}, err
@@ -179,22 +206,31 @@ func decodeVector(c *cursor) (vecmath.Vector, error) {
 	if nnz > maxNNZ || nnz > uint64(c.rem()) {
 		return vecmath.Vector{}, corrupt("persist: vector nnz %d exceeds limits", nnz)
 	}
-	es := make([]vecmath.Entry, 0, nnz)
+	// The entry loop reads the payload directly rather than through cursor
+	// calls: it is the innermost loop of every snapshot and batch decode.
+	es := arena.take(int(nnz))
+	buf := c.data[c.off:]
+	p := 0
 	dim := uint64(0)
-	for e := uint64(0); e < nnz; e++ {
-		delta, err := c.uvarint()
-		if err != nil {
-			return vecmath.Vector{}, err
+	for e := range es {
+		delta, n := binary.Uvarint(buf[p:])
+		if n <= 0 {
+			return vecmath.Vector{}, corrupt("persist: bad uvarint at offset %d", c.off+p)
 		}
+		p += n
 		dim += delta
 		if dim > math.MaxUint32 {
 			return vecmath.Vector{}, corrupt("persist: vector dim overflows")
 		}
-		bits, err := c.u32()
-		if err != nil {
-			return vecmath.Vector{}, err
+		if len(buf)-p < 4 {
+			return vecmath.Vector{}, corrupt("persist: truncated at offset %d", c.off+p)
 		}
-		es = append(es, vecmath.Entry{Dim: uint32(dim), Weight: math.Float32frombits(bits)})
+		es[e] = vecmath.Entry{Dim: uint32(dim), Weight: math.Float32frombits(binary.LittleEndian.Uint32(buf[p:]))}
+		p += 4
+	}
+	c.off += p
+	if v, ok := vecmath.FromSorted(es); ok {
+		return v, nil
 	}
 	v, err := vecmath.New(es)
 	if err != nil {
@@ -324,10 +360,27 @@ func decodeTable(payload []byte, keyLen, n int) ([]lsh.RestoredBucket, error) {
 		return nil, corrupt("persist: bucket count %d out of range", count)
 	}
 	seq := make([]lsh.RestoredBucket, 0, count)
+	// Every id takes at least one byte, and a valid table holds n of them:
+	// one slab backs all buckets' id lists.
+	idSlab := make([]int32, 0, min(n, len(payload)))
+	// Narrow keys are parsed into machine words on restore and dropped, so
+	// they share one string copy of the payload instead of costing an
+	// allocation each; wide keys live on in the table and get their own.
+	var whole string
+	if keyLen == 8 {
+		whole = string(payload)
+	}
 	for b := uint64(0); b < count; b++ {
+		off := c.off
 		key, err := c.bytes(keyLen)
 		if err != nil {
 			return nil, err
+		}
+		var keyStr string
+		if whole != "" {
+			keyStr = whole[off : off+keyLen]
+		} else {
+			keyStr = string(key)
 		}
 		sz, err := c.uvarint()
 		if err != nil {
@@ -336,7 +389,7 @@ func decodeTable(payload []byte, keyLen, n int) ([]lsh.RestoredBucket, error) {
 		if sz > uint64(n) || sz > uint64(c.rem()+1) {
 			return nil, corrupt("persist: bucket size %d out of range", sz)
 		}
-		ids := make([]int32, 0, sz)
+		start := len(idSlab)
 		prev := int64(-1)
 		for i := uint64(0); i < sz; i++ {
 			delta, err := c.uvarint()
@@ -350,9 +403,9 @@ func decodeTable(payload []byte, keyLen, n int) ([]lsh.RestoredBucket, error) {
 			if prev >= int64(n) {
 				return nil, corrupt("persist: bucket id %d out of range", prev)
 			}
-			ids = append(ids, int32(prev))
+			idSlab = append(idSlab, int32(prev))
 		}
-		seq = append(seq, lsh.RestoredBucket{Key: string(key), IDs: ids})
+		seq = append(seq, lsh.RestoredBucket{Key: keyStr, IDs: idSlab[start:len(idSlab):len(idSlab)]})
 	}
 	if c.rem() != 0 {
 		return nil, corrupt("persist: %d trailing bytes in table section", c.rem())
@@ -396,8 +449,9 @@ func decodeSnapshot(data []byte) (*lsh.Index, error) {
 		return nil, corrupt("persist: %d vectors in %d-byte data section", meta.n, len(payload))
 	}
 	vectors := make([]vecmath.Vector, 0, meta.n)
+	arena := newEntryArena(len(payload))
 	for i := 0; i < meta.n; i++ {
-		v, err := decodeVector(dc)
+		v, err := decodeVector(dc, arena)
 		if err != nil {
 			return nil, err
 		}

@@ -102,6 +102,7 @@ func decodeRecPayload(payload []byte) (walRec, error) {
 		return r, corrupt("persist: empty delta-log record")
 	}
 	c := &cursor{data: payload, off: 1}
+	arena := newEntryArena(len(payload))
 	r.kind = payload[0]
 	switch r.kind {
 	case recInsert:
@@ -113,7 +114,7 @@ func decodeRecPayload(payload []byte) (walRec, error) {
 			return r, corrupt("persist: insert id %d out of range", id)
 		}
 		r.id = int(id)
-		v, err := decodeVector(c)
+		v, err := decodeVector(c, arena)
 		if err != nil {
 			return r, err
 		}
@@ -133,7 +134,7 @@ func decodeRecPayload(payload []byte) (walRec, error) {
 		r.id = int(first)
 		r.vecs = make([]vecmath.Vector, 0, count)
 		for i := uint64(0); i < count; i++ {
-			v, err := decodeVector(c)
+			v, err := decodeVector(c, arena)
 			if err != nil {
 				return r, err
 			}

@@ -10,8 +10,9 @@ import (
 // Exported codec entry points for the network layer (internal/shardrpc).
 // The wire protocol deliberately reuses the store's formats: a shard
 // server's snapshot-fetch response carries exactly the bytes a checkpoint
-// file holds, and streamed ingest carries vectors in the delta log's vector
-// encoding. One codec, one set of decode limits, one fuzz surface.
+// file holds, and streamed ingest and delta fetches carry vectors in the
+// delta log's vector encoding. One codec, one set of decode limits, one
+// fuzz surface.
 
 // EncodeSnapshot serializes a published snapshot in the checkpoint file
 // format (magic, checksummed meta/data/table/end sections).
@@ -47,8 +48,9 @@ func DecodeVectors(payload []byte) ([]vecmath.Vector, error) {
 		return nil, corrupt("persist: vector count %d exceeds limits", n)
 	}
 	vs := make([]vecmath.Vector, 0, n)
+	arena := newEntryArena(len(payload))
 	for i := uint64(0); i < n; i++ {
-		v, err := decodeVector(c)
+		v, err := decodeVector(c, arena)
 		if err != nil {
 			return nil, err
 		}

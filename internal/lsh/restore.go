@@ -74,12 +74,43 @@ func RestoreIndex(family Family, k, ell int, version uint64, data []vecmath.Vect
 // ids strictly ascend within each bucket and cover [0, n) exactly once.
 func restoreTable(seq []RestoredBucket, k, fnBase, bits int, narrow bool, n int) (*Table, error) {
 	t := &Table{k: k, fnBase: fnBase, n: n, bits: bits, narrow: narrow}
+	// First pass: parse and size. Keys land in one bucket slab, and each
+	// base map shard is allocated at its final size, so the second pass
+	// neither allocates per bucket nor rehashes.
+	slab := make([]bucket, len(seq))
+	var perShard [tableShards]int
+	for gi, rb := range seq {
+		if narrow {
+			w, ok := parseKey64(rb.Key)
+			if !ok {
+				return nil, fmt.Errorf("bucket %d key has %d bytes (want 8)", gi, len(rb.Key))
+			}
+			slab[gi].key64 = w
+			perShard[shard64(w)]++
+		} else {
+			if len(rb.Key) != 8*k {
+				return nil, fmt.Errorf("bucket %d key has %d bytes (want %d)", gi, len(rb.Key), 8*k)
+			}
+			slab[gi].keyStr = rb.Key
+			perShard[shardStr(rb.Key)]++
+		}
+	}
 	if narrow {
 		t.keys64 = make([]uint64, n)
 		t.base64 = make([]map[uint64]int32, tableShards)
+		for s, c := range perShard {
+			if c > 0 {
+				t.base64[s] = make(map[uint64]int32, c)
+			}
+		}
 	} else {
 		t.keysStr = make([]string, n)
 		t.baseStr = make([]map[string]int32, tableShards)
+		for s, c := range perShard {
+			if c > 0 {
+				t.baseStr[s] = make(map[string]int32, c)
+			}
+		}
 	}
 	order := make([]*bucket, 0, len(seq))
 	assigned := 0
@@ -110,38 +141,23 @@ func restoreTable(seq []RestoredBucket, k, fnBase, bits int, narrow bool, n int)
 		assigned += len(rb.IDs)
 		// Clamp capacity so a later merge's copy-on-write append can never
 		// spill into spare capacity of the decoder's slice.
-		b := &bucket{ids: rb.IDs[:len(rb.IDs):len(rb.IDs)]}
+		b := &slab[gi]
+		b.ids = rb.IDs[:len(rb.IDs):len(rb.IDs)]
+		// A key already present leaves the map's size unchanged.
+		var dup bool
 		if narrow {
-			w, ok := parseKey64(rb.Key)
-			if !ok {
-				return nil, fmt.Errorf("bucket %d key has %d bytes (want 8)", gi, len(rb.Key))
-			}
-			b.key64 = w
-			s := shard64(w)
-			m := t.base64[s]
-			if m == nil {
-				m = make(map[uint64]int32)
-				t.base64[s] = m
-			}
-			if _, dup := m[w]; dup {
-				return nil, fmt.Errorf("duplicate bucket key at index %d", gi)
-			}
-			m[w] = int32(gi)
+			m := t.base64[shard64(b.key64)]
+			size := len(m)
+			m[b.key64] = int32(gi)
+			dup = len(m) == size
 		} else {
-			if len(rb.Key) != 8*k {
-				return nil, fmt.Errorf("bucket %d key has %d bytes (want %d)", gi, len(rb.Key), 8*k)
-			}
-			b.keyStr = rb.Key
-			s := shardStr(rb.Key)
-			m := t.baseStr[s]
-			if m == nil {
-				m = make(map[string]int32)
-				t.baseStr[s] = m
-			}
-			if _, dup := m[rb.Key]; dup {
-				return nil, fmt.Errorf("duplicate bucket key at index %d", gi)
-			}
-			m[rb.Key] = int32(gi)
+			m := t.baseStr[shardStr(b.keyStr)]
+			size := len(m)
+			m[b.keyStr] = int32(gi)
+			dup = len(m) == size
+		}
+		if dup {
+			return nil, fmt.Errorf("duplicate bucket key at index %d", gi)
 		}
 		for _, id := range rb.IDs {
 			if narrow {

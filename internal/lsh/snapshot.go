@@ -136,10 +136,11 @@ func (s *Snapshot) getVisit() *visitState {
 }
 
 // beginEpoch sizes the visited array for n vectors and opens a new dedup
-// epoch.
+// epoch. The array grows with a quarter's headroom, so an index that
+// publishes a few vectors between queries does not reallocate it per query.
 func (vs *visitState) beginEpoch(n int) {
 	if len(vs.stamp) < n {
-		vs.stamp = make([]uint32, n)
+		vs.stamp = make([]uint32, n+n/4)
 		vs.epoch = 0
 	}
 	vs.epoch++

@@ -130,8 +130,8 @@ func TestOverlayCompaction(t *testing.T) {
 	idx.InsertBatch(extra[300:])
 	got := idx.Snapshot()
 	tab := got.Table(0)
-	if tab.ovl64 != nil && len(tab.ovl64)*4 > tab.nbase && len(tab.ovl64) > 256 {
-		t.Errorf("overlay never compacted: %d overlay vs %d base buckets", len(tab.ovl64), tab.nbase)
+	if tab.novl*4 > tab.nbase && tab.novl > 256 {
+		t.Errorf("overlay never compacted: %d overlay vs %d base buckets", tab.novl, tab.nbase)
 	}
 	full, err := BuildSnapshot(all, NewSimHash(332), 12, 1)
 	if err != nil {

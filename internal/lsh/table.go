@@ -44,8 +44,11 @@ type Table struct {
 	base64  []map[uint64]int32 // narrow: tableShards maps, frozen at build/compact
 	baseStr []map[string]int32 // wide mode equivalent
 	nbase   int                // buckets covered by the base maps: indices [0, nbase)
-	ovl64   map[uint64]int32   // buckets appended by merges since the base
-	ovlStr  map[string]int32
+	// Buckets appended by merges since the base: tableShards maps sharded
+	// like the base (nil until a merge adds the first), novl entries in all.
+	ovl64  []map[uint64]int32
+	ovlStr []map[string]int32
+	novl   int
 
 	w fenwick // bucket sequence + pair weights, shared across versions
 }
@@ -84,13 +87,14 @@ func shardStr(s string) int {
 
 // bucketIndex64 resolves a machine-word key to its bucket index.
 func (t *Table) bucketIndex64(w uint64) (int32, bool) {
-	if m := t.base64[shard64(w)]; m != nil {
+	s := shard64(w)
+	if m := t.base64[s]; m != nil {
 		if bi, ok := m[w]; ok {
 			return bi, true
 		}
 	}
 	if t.ovl64 != nil {
-		if bi, ok := t.ovl64[w]; ok {
+		if bi, ok := t.ovl64[s][w]; ok {
 			return bi, true
 		}
 	}
@@ -99,13 +103,14 @@ func (t *Table) bucketIndex64(w uint64) (int32, bool) {
 
 // bucketIndexStr resolves a string key to its bucket index.
 func (t *Table) bucketIndexStr(key string) (int32, bool) {
-	if m := t.baseStr[shardStr(key)]; m != nil {
+	s := shardStr(key)
+	if m := t.baseStr[s]; m != nil {
 		if bi, ok := m[key]; ok {
 			return bi, true
 		}
 	}
 	if t.ovlStr != nil {
-		if bi, ok := t.ovlStr[key]; ok {
+		if bi, ok := t.ovlStr[s][key]; ok {
 			return bi, true
 		}
 	}

@@ -264,6 +264,56 @@ func (c *Client) Snapshot(have uint64) (version uint64, blob []byte, notModified
 	return version, blob, false, err
 }
 
+// FetchKind tells which of its three answers a Delta call got.
+type FetchKind uint8
+
+const (
+	// FetchNotModified: the caller's state is the shard's current state.
+	FetchNotModified FetchKind = iota + 1
+	// FetchDelta: Fetch.Delta holds the vectors appended since the caller's
+	// vector count.
+	FetchDelta
+	// FetchFull: the server could not vouch for the caller's state (first
+	// fetch, or a different epoch) and sent its whole snapshot in Blob.
+	FetchFull
+)
+
+// Fetch is a Delta call's answer. Version is the shard's current version
+// in every kind; Delta is set for FetchDelta, Epoch and Blob for FetchFull.
+type Fetch struct {
+	Kind    FetchKind
+	Version uint64
+	Delta   Delta
+	Epoch   uint64 // the server epoch to present from now on
+	Blob    []byte // persist checkpoint encoding; decode with persist.DecodeSnapshot
+}
+
+// Delta fetches the shard's state relative to what the caller holds: the
+// server epoch it was fetched under (0 when it holds nothing), its version
+// and its vector count. Within the server's epoch an unchanged shard
+// answers not-modified and a grown one ships only the vectors appended
+// since haveN; otherwise the server sends a full snapshot under its epoch.
+// Publishes pending ingest first, like Snapshot. Idempotent.
+func (c *Client) Delta(epoch, haveVersion uint64, haveN int) (Fetch, error) {
+	rtyp, resp, err := c.call(TDelta, encodeDeltaReq(epoch, haveVersion, haveN), true, TDeltaOK, TFullSnap, TNotModified)
+	if err != nil {
+		return Fetch{}, err
+	}
+	f := Fetch{}
+	switch rtyp {
+	case TNotModified:
+		f.Kind = FetchNotModified
+		f.Version, err = decodeVersion(resp)
+	case TDeltaOK:
+		f.Kind = FetchDelta
+		f.Version, f.Delta, err = decodeDeltaResp(resp, c.Hello().Ell)
+	default:
+		f.Kind = FetchFull
+		f.Epoch, f.Version, f.Blob, err = decodeFullSnapResp(resp)
+	}
+	return f, err
+}
+
 // Stats fetches the shard's cheap summary digest (version, n, per-table
 // N_H) without shipping the snapshot.
 func (c *Client) Stats() (lsh.SnapshotSummary, error) {

@@ -5,9 +5,9 @@
 // The protocol is deliberately small: length-prefixed binary frames with the
 // same CRC32-C discipline as the persist layer's snapshot sections, carrying
 // a handful of request/response messages (see protocol.go). Snapshot
-// responses reuse the checkpoint file encoding verbatim and ingest reuses
-// the delta log's vector encoding, so the network layer adds no second
-// codec: persist's decode limits and fuzz coverage apply to every byte that
+// responses reuse the checkpoint file encoding verbatim, and ingest and
+// delta responses reuse the delta log's vector encoding, so the network
+// layer adds no second codec: persist's decode limits and fuzz coverage apply to every byte that
 // crosses the wire, and a fetched shard rebuilds through the same
 // lsh.RestoreIndex path whose draw-for-draw equivalence the durability tests
 // prove. DESIGN.md documents the byte layouts.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"lshjoin/internal/lsh"
+	"lshjoin/internal/lsh/persist"
+	"lshjoin/internal/vecmath"
 )
 
 // Protocol messages. A connection starts with a handshake — the client
@@ -26,7 +28,13 @@ import (
 //	PublishOK   u64 version
 //	Snapshot    u64 haveVersion
 //	SnapshotOK  u64 version | snapshot blob (persist checkpoint encoding)
-//	NotModified u64 version   (answers Snapshot when version == haveVersion)
+//	NotModified u64 version   (answers Snapshot when version == haveVersion,
+//	            and Delta when the caller already holds the current state)
+//	Delta       u64 epoch | u64 haveVersion | uvarint haveN
+//	DeltaOK     u64 version | uvarint n | uvarint ℓ | ℓ × uvarint N_H |
+//	            vector batch (the Ingest encoding) of vectors [haveN, n)
+//	FullSnap    u64 epoch | u64 version | snapshot blob (answers Delta when
+//	            the server cannot vouch for the caller's state)
 //	Stats       (empty)
 //	StatsOK     u64 version | uvarint n | uvarint ℓ | ℓ × uvarint N_H
 //	Sample      uvarint table | uvarint count | u64 seed
@@ -34,7 +42,7 @@ import (
 //	Err         uvarint code | message text (rest of payload)
 const (
 	protoMagic   = "LSHRPC1\n"
-	protoVersion = 1
+	protoVersion = 2 // 2 added Delta
 
 	// Request types.
 	THello    = uint32(1)
@@ -43,6 +51,7 @@ const (
 	TSnapshot = uint32(4)
 	TStats    = uint32(5)
 	TSample   = uint32(6)
+	TDelta    = uint32(7)
 
 	// respBit marks a response; a response answers the request whose type it
 	// carries below the bit.
@@ -54,7 +63,9 @@ const (
 	TSnapshotOK = TSnapshot | respBit
 	TStatsOK    = TStats | respBit
 	TSampleOK   = TSample | respBit
+	TDeltaOK    = TDelta | respBit
 
+	TFullSnap    = uint32(0x7D)
 	TNotModified = uint32(0x7E)
 	TErr         = uint32(0x7F)
 )
@@ -275,6 +286,79 @@ func decodeSnapshotResp(payload []byte) (uint64, []byte, error) {
 	return v, p.rest(), nil
 }
 
+func encodeDeltaReq(epoch, haveVersion uint64, haveN int) []byte {
+	buf := binary.LittleEndian.AppendUint64(nil, epoch)
+	buf = binary.LittleEndian.AppendUint64(buf, haveVersion)
+	return binary.AppendUvarint(buf, uint64(haveN))
+}
+
+func decodeDeltaReq(payload []byte) (epoch, haveVersion uint64, haveN int, err error) {
+	p := &preader{data: payload}
+	if epoch, err = p.u64(); err != nil {
+		return 0, 0, 0, err
+	}
+	if haveVersion, err = p.u64(); err != nil {
+		return 0, 0, 0, err
+	}
+	n, err := p.uvarint()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if n > maxN {
+		return 0, 0, 0, pErr("shardrpc: vector count %d out of range", n)
+	}
+	return epoch, haveVersion, int(n), p.done()
+}
+
+// Delta is the body of a DeltaOK answer: the vectors appended since the
+// caller's haveN, and the shard's vector count and per-table N_H once they
+// are appended — what the caller's copy must match after applying them.
+type Delta struct {
+	N       int
+	TableNH []int64
+	Vectors []vecmath.Vector
+}
+
+func encodeDeltaResp(snap *lsh.Snapshot, haveN int) []byte {
+	buf := encodeStatsResp(snap.Version(), snap.Summary())
+	return append(buf, persist.EncodeVectors(snap.Data()[haveN:])...)
+}
+
+// decodeDeltaResp decodes a DeltaOK payload from a server hashing with ell
+// tables, returning the shard version and the delta.
+func decodeDeltaResp(payload []byte, ell int) (uint64, Delta, error) {
+	p := &preader{data: payload}
+	sum, err := decodeSummary(p)
+	if err != nil {
+		return 0, Delta{}, err
+	}
+	if len(sum.TableNH) != ell {
+		return 0, Delta{}, pErr("shardrpc: delta carries %d N_H values for ℓ = %d", len(sum.TableNH), ell)
+	}
+	vs, err := persist.DecodeVectors(p.rest())
+	if err != nil {
+		return 0, Delta{}, pErr("shardrpc: delta vectors: %v", err)
+	}
+	return sum.Version, Delta{N: sum.N, TableNH: sum.TableNH, Vectors: vs}, nil
+}
+
+func encodeFullSnapResp(epoch, version uint64, blob []byte) []byte {
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 16+len(blob)), epoch)
+	buf = binary.LittleEndian.AppendUint64(buf, version)
+	return append(buf, blob...)
+}
+
+func decodeFullSnapResp(payload []byte) (epoch, version uint64, blob []byte, err error) {
+	p := &preader{data: payload}
+	if epoch, err = p.u64(); err != nil {
+		return 0, 0, nil, err
+	}
+	if version, err = p.u64(); err != nil {
+		return 0, 0, nil, err
+	}
+	return epoch, version, p.rest(), nil
+}
+
 func encodeStatsResp(version uint64, sum lsh.SnapshotSummary) []byte {
 	buf := binary.LittleEndian.AppendUint64(nil, version)
 	buf = binary.AppendUvarint(buf, uint64(sum.N))
@@ -286,8 +370,18 @@ func encodeStatsResp(version uint64, sum lsh.SnapshotSummary) []byte {
 }
 
 func decodeStatsResp(payload []byte) (lsh.SnapshotSummary, error) {
-	var sum lsh.SnapshotSummary
 	p := &preader{data: payload}
+	sum, err := decodeSummary(p)
+	if err != nil {
+		return sum, err
+	}
+	return sum, p.done()
+}
+
+// decodeSummary reads the version | n | ℓ | ℓ × N_H prefix that StatsOK
+// and DeltaOK share.
+func decodeSummary(p *preader) (lsh.SnapshotSummary, error) {
+	var sum lsh.SnapshotSummary
 	v, err := p.u64()
 	if err != nil {
 		return sum, err
@@ -305,7 +399,9 @@ func decodeStatsResp(payload []byte) (lsh.SnapshotSummary, error) {
 	if err != nil {
 		return sum, err
 	}
-	if ell < 1 || ell > maxEll {
+	// Each N_H takes at least one byte, so a count past the remaining
+	// payload is corrupt before anything is allocated for it.
+	if ell < 1 || ell > maxEll || ell > uint64(p.rem()) {
 		return sum, pErr("shardrpc: table count %d out of range", ell)
 	}
 	sum.TableNH = make([]int64, ell)
@@ -319,7 +415,7 @@ func decodeStatsResp(payload []byte) (lsh.SnapshotSummary, error) {
 		}
 		sum.TableNH[t] = int64(nh)
 	}
-	return sum, p.done()
+	return sum, nil
 }
 
 func encodeSampleReq(table, count int, seed uint64) []byte {

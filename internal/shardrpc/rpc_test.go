@@ -147,6 +147,73 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 }
 
+// Delta answers each caller state with the cheapest shape the server can
+// vouch for: a full snapshot under its epoch for a caller holding nothing
+// or another epoch's state, not-modified for the current state, and the
+// appended vectors with the resulting n and N_H for an older state of the
+// same epoch — which, applied and published at the server's version,
+// reproduces the server's snapshot.
+func TestClientDelta(t *testing.T) {
+	srv, addr := startServer(t, ServerOptions{})
+	c, err := Dial(addr, testClientOptions())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	vs := testVectors(90)
+	if _, _, err := c.Ingest(vs[:50]); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Delta(0, 0, 0)
+	if err != nil || f.Kind != FetchFull || f.Epoch == 0 || f.Version != 2 {
+		t.Fatalf("first Delta = %+v, %v", f, err)
+	}
+	epoch := f.Epoch
+	idx, err := persist.DecodeSnapshot(f.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err = c.Delta(epoch, 2, 50); err != nil || f.Kind != FetchNotModified || f.Version != 2 {
+		t.Fatalf("unchanged Delta = %+v, %v", f, err)
+	}
+	// Two publishes between fetches: the delta jumps both.
+	if _, _, err := c.Ingest(vs[50:70]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Ingest(vs[70:]); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = c.Delta(epoch, 2, 50); err != nil || f.Kind != FetchDelta || f.Version != 4 || len(f.Delta.Vectors) != 40 {
+		t.Fatalf("grown Delta = kind %d v%d %d vectors, %v", f.Kind, f.Version, len(f.Delta.Vectors), err)
+	}
+	idx.InsertBatch(f.Delta.Vectors)
+	local, err := idx.PublishAt(f.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := srv.Index().Current().Summary()
+	if got := local.Summary(); got.Version != want.Version || got.N != want.N || f.Delta.N != want.N {
+		t.Fatalf("applied delta to %+v (response n %d), server at %+v", got, f.Delta.N, want)
+	}
+	for tb, nh := range want.TableNH {
+		if local.Table(tb).NH() != nh || f.Delta.TableNH[tb] != nh {
+			t.Fatalf("table %d: applied N_H %d, response %d, server %d", tb, local.Table(tb).NH(), f.Delta.TableNH[tb], nh)
+		}
+	}
+	// States the server cannot vouch for get a full snapshot.
+	for _, st := range []struct {
+		epoch, ver uint64
+		n          int
+	}{{epoch + 1, 2, 50}, {epoch, 4, 50}, {epoch, 2, 90}, {epoch, 5, 95}} {
+		if f, err = c.Delta(st.epoch, st.ver, st.n); err != nil || f.Kind != FetchFull || f.Epoch != epoch || f.Version != 4 {
+			t.Fatalf("Delta%+v = kind %d epoch %d v%d, %v", st, f.Kind, f.Epoch, f.Version, err)
+		}
+	}
+}
+
 func TestServerRejectsBadRequests(t *testing.T) {
 	_, addr := startServer(t, ServerOptions{})
 	c, err := Dial(addr, testClientOptions())

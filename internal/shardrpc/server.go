@@ -3,6 +3,7 @@ package shardrpc
 import (
 	"bufio"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
@@ -27,7 +28,8 @@ type ServerOptions struct {
 
 // Server owns one lsh.Index — one shard of a distributed collection — and
 // serves the protocol over a listener: streamed ingest, snapshot fetches
-// with a not-modified fast path, summaries and server-side sample batches.
+// with a not-modified fast path, delta fetches of the vectors appended since
+// a caller's version, summaries and server-side sample batches.
 //
 // Concurrency: each connection is handled by its own goroutine, and all of
 // them share the index through its usual write-lock/atomic-snapshot
@@ -39,6 +41,13 @@ type ServerOptions struct {
 type Server struct {
 	idx *lsh.Index
 	opt ServerOptions
+
+	// epoch names this server's history: a random non-zero u64 drawn at
+	// start. Within one epoch every published version extends the previous
+	// one, so a caller holding (epoch, version, n) can be sent just the
+	// vectors after n; a caller from another epoch (or none) cannot, and
+	// gets a full snapshot.
+	epoch uint64
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -57,7 +66,11 @@ type Server struct {
 // NewServer wraps an index (typically lsh.NewEmptyIndex, or a recovered
 // durable one) as a shard server. Call Serve to accept connections.
 func NewServer(idx *lsh.Index, opt ServerOptions) *Server {
-	return &Server{idx: idx, opt: opt, conns: make(map[net.Conn]struct{})}
+	epoch := rand.Uint64()
+	for epoch == 0 {
+		epoch = rand.Uint64()
+	}
+	return &Server{idx: idx, opt: opt, epoch: epoch, conns: make(map[net.Conn]struct{})}
 }
 
 // Index returns the served index, for the process that owns the server
@@ -208,6 +221,26 @@ func (s *Server) handle(typ uint32, payload []byte) (uint32, []byte) {
 			return TErr, encodeErrResp(CodeInternal, err.Error())
 		}
 		return TSnapshotOK, encodeSnapshotResp(snap.Version(), blob)
+
+	case TDelta:
+		epoch, haveVer, haveN, err := decodeDeltaReq(payload)
+		if err != nil {
+			return TErr, encodeErrResp(CodeBadRequest, err.Error())
+		}
+		snap := s.idx.Snapshot()
+		if epoch == s.epoch {
+			switch {
+			case haveVer == snap.Version() && haveN == snap.N():
+				return TNotModified, encodeVersion(haveVer)
+			case haveVer < snap.Version() && haveN < snap.N():
+				return TDeltaOK, encodeDeltaResp(snap, haveN)
+			}
+		}
+		blob, err := s.snapshotBlob(snap)
+		if err != nil {
+			return TErr, encodeErrResp(CodeInternal, err.Error())
+		}
+		return TFullSnap, encodeFullSnapResp(s.epoch, snap.Version(), blob)
 
 	case TStats:
 		snap := s.idx.Snapshot()

@@ -53,6 +53,23 @@ func New(entries []Entry) (Vector, error) {
 	return v, nil
 }
 
+// FromSorted builds a Vector from entries already in canonical form —
+// strictly ascending dims, finite non-zero weights — taking ownership of
+// the slice instead of copying it. It reports false, building nothing, when
+// the entries are not canonical; New accepts any entries. The result equals
+// New(entries) bit for bit.
+func FromSorted(entries []Entry) (Vector, bool) {
+	for i, e := range entries {
+		w := float64(e.Weight)
+		if w == 0 || math.IsNaN(w) || math.IsInf(w, 0) || i > 0 && e.Dim <= entries[i-1].Dim {
+			return Vector{}, false
+		}
+	}
+	v := Vector{entries: entries}
+	v.norm = v.computeNorm()
+	return v, true
+}
+
 // FromMap builds a Vector from a dimension→weight map.
 func FromMap(m map[uint32]float32) (Vector, error) {
 	es := make([]Entry, 0, len(m))

@@ -221,3 +221,28 @@ func TestStringForm(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// FromSorted adopts canonical entries as New would build them, bit for bit,
+// and refuses anything New would have to reorder, merge, drop or reject.
+func TestFromSorted(t *testing.T) {
+	es := []Entry{{Dim: 2, Weight: 0.5}, {Dim: 9, Weight: -1.25}, {Dim: 40, Weight: 3}}
+	got, ok := FromSorted(append([]Entry(nil), es...))
+	want, err := New(es)
+	if !ok || err != nil {
+		t.Fatalf("canonical entries: ok=%v, New error %v", ok, err)
+	}
+	if !Equal(got, want) || math.Float64bits(got.Norm()) != math.Float64bits(want.Norm()) {
+		t.Fatalf("FromSorted %v (norm %v) != New %v (norm %v)", got, got.Norm(), want, want.Norm())
+	}
+	for _, bad := range [][]Entry{
+		{{Dim: 9, Weight: 1}, {Dim: 2, Weight: 1}},
+		{{Dim: 2, Weight: 1}, {Dim: 2, Weight: 1}},
+		{{Dim: 2, Weight: 0}},
+		{{Dim: 2, Weight: float32(math.Inf(1))}},
+		{{Dim: 2, Weight: float32(math.NaN())}},
+	} {
+		if v, ok := FromSorted(bad); ok {
+			t.Errorf("FromSorted(%v) accepted as %v", bad, v)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package lshjoin
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -304,23 +305,35 @@ func (c *Collection) exactJoiner() (*exactjoin.Joiner, *lsh.Snapshot) {
 // joiner — O(Σ df²), for ground truth and small-to-medium collections.
 func (c *Collection) ExactJoinSize(tau float64) (int64, error) {
 	if c.opt.Measure != CosineSimilarity {
-		return c.exactBrute(c.snap(), tau)
+		return bruteCount(c.snap().Data(), c.sim, tau)
 	}
 	j, _ := c.exactJoiner()
 	return j.CountAt(tau)
 }
 
-func (c *Collection) exactBrute(s *lsh.Snapshot, tau float64) (int64, error) {
-	data := s.Data()
-	var count int64
+// bruteJoin calls emit for every pair i < j of data with sim ≥ tau, in
+// lexicographic order: the measure-agnostic exact join (O(n²) similarity
+// evaluations) behind every front end's non-cosine ExactJoinSize and
+// JoinPairs. tau is validated as the estimators validate it, NaN included.
+func bruteJoin(data []Vector, sim core.SimFunc, tau float64, emit func(i, j int, s float64)) error {
+	if math.IsNaN(tau) || tau <= 0 || tau > 1 {
+		return fmt.Errorf("lshjoin: threshold must be in (0, 1], got %v", tau)
+	}
 	for i := range data {
 		for j := i + 1; j < len(data); j++ {
-			if c.sim(data[i], data[j]) >= tau {
-				count++
+			if s := sim(data[i], data[j]); s >= tau {
+				emit(i, j, s)
 			}
 		}
 	}
-	return count, nil
+	return nil
+}
+
+// bruteCount is bruteJoin's pair count.
+func bruteCount(data []Vector, sim core.SimFunc, tau float64) (int64, error) {
+	var count int64
+	err := bruteJoin(data, sim, tau, func(int, int, float64) { count++ })
+	return count, err
 }
 
 // JoinPair is one similarity join result.
@@ -335,7 +348,11 @@ type JoinPair struct {
 // API is complete across measures.
 func (c *Collection) JoinPairs(tau float64) ([]JoinPair, error) {
 	if c.opt.Measure != CosineSimilarity {
-		return c.joinPairsBrute(tau)
+		var out []JoinPair
+		err := bruteJoin(c.snap().Data(), c.sim, tau, func(i, j int, s float64) {
+			out = append(out, JoinPair{U: i, V: j, Sim: s})
+		})
+		return out, err
 	}
 	j, _ := c.exactJoiner()
 	raw, err := j.Pairs(tau)
@@ -345,23 +362,6 @@ func (c *Collection) JoinPairs(tau float64) ([]JoinPair, error) {
 	out := make([]JoinPair, len(raw))
 	for i, p := range raw {
 		out[i] = JoinPair{U: int(p.U), V: int(p.V), Sim: p.Sim}
-	}
-	return out, nil
-}
-
-// joinPairsBrute enumerates every pair — the measure-agnostic fallback.
-func (c *Collection) joinPairsBrute(tau float64) ([]JoinPair, error) {
-	if tau <= 0 || tau > 1 {
-		return nil, fmt.Errorf("lshjoin: threshold must be in (0, 1], got %v", tau)
-	}
-	data := c.snap().Data()
-	var out []JoinPair
-	for i := range data {
-		for j := i + 1; j < len(data); j++ {
-			if s := c.sim(data[i], data[j]); s >= tau {
-				out = append(out, JoinPair{U: i, V: j, Sim: s})
-			}
-		}
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package lshjoin
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -65,9 +66,11 @@ func WithRetryPolicy(retries int, backoff time.Duration) RemoteOption {
 // estimate surface of a ShardedCollection over S shard servers instead of S
 // in-process shards. addrs[s] serves shard s of the consistent-hash key
 // space — Insert routes with the same jump-hash routing as NewSharded, and
-// reads fetch per-shard snapshots (with a version-checked not-modified fast
-// path), reassemble them into the group view, and run the merged estimators
-// locally with the same deterministic seed-stream discipline.
+// reads bring the coordinator's per-shard index copies up to date (a
+// not-modified round trip for an unchanged shard, the appended vectors for
+// a grown one, a full snapshot only on first fetch or after a server
+// restart), reassemble them into the group view, and run the merged
+// estimators locally with the same deterministic seed-stream discipline.
 //
 // A distributed estimate is therefore bit-equal to the in-process one: for
 // the same vectors, options and estimator seeds, every algorithm returns
@@ -75,8 +78,9 @@ func WithRetryPolicy(retries int, backoff time.Duration) RemoteOption {
 // remote_test property suite pins this at S ∈ {1, 4}). The guarantee rests
 // on two proven equivalences: a snapshot restored from its wire encoding is
 // sampling-equivalent to the original (the durability layer's restore
-// property), and per-shard ingest publishes the same buckets the in-process
-// writer publishes.
+// property), and ingest publishes the same buckets as a batch build however
+// the publishes are grouped — on the servers and on the coordinator's
+// copies alike.
 //
 // Failure semantics: any shard failing — timeout, transport loss after
 // retries, or protocol violation — fails the whole read with a typed error
@@ -92,11 +96,17 @@ type RemoteCollection struct {
 
 	seedCtr atomic.Uint64
 
-	// Per-shard snapshot cache: versions are monotone per shard, so cached
-	// entries only ever advance, and an unchanged shard costs one
-	// not-modified round trip instead of a snapshot transfer.
+	shards []remoteShard
+}
+
+// remoteShard is the coordinator's copy of one shard: the index mirrored
+// from its server and the server epoch it was fetched under. mu is held
+// across a fetch and its apply. A nil idx holds nothing, so the next fetch
+// is a full one.
+type remoteShard struct {
 	mu    sync.Mutex
-	snaps []*lsh.Snapshot
+	epoch uint64
+	idx   *lsh.Index
 }
 
 // Connect dials the shard servers and performs the handshakes. Options
@@ -170,7 +180,7 @@ func Connect(addrs []string, opt Options, ropts ...RemoteOption) (*RemoteCollect
 		family:  family,
 		sim:     sim,
 		clients: clients,
-		snaps:   make([]*lsh.Snapshot, len(addrs)),
+		shards:  make([]remoteShard, len(addrs)),
 	}, nil
 }
 
@@ -238,49 +248,84 @@ func (c *RemoteCollection) ShardOf(id int) int {
 	return s
 }
 
-// fetchShard fetches shard s's current snapshot, reusing have when the
-// shard answers not-modified, and validates the decoded state against the
-// pinned hashing identity.
-func (c *RemoteCollection) fetchShard(s int, have *lsh.Snapshot) (*lsh.Snapshot, error) {
-	haveVer := uint64(0)
-	if have != nil {
-		haveVer = have.Version()
+// fetchShard brings shard s's copy up to the server's current state and
+// returns its snapshot. Under the server epoch the copy was fetched in, an
+// unchanged shard costs one not-modified round trip and a grown one ships
+// only the vectors appended since the copy's count, which the coordinator
+// signs and publishes at the server's version; otherwise the server sends
+// its full snapshot. The shard's lock is held across fetch and apply, so
+// the copy only moves along the server's history. A delta that leaves the
+// copy disagreeing with the server's n or per-table N_H — or any other
+// protocol violation — drops the copy, so the next read refetches in full.
+func (c *RemoteCollection) fetchShard(s int) (*lsh.Snapshot, error) {
+	sh := &c.shards[s]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	snap, err := c.applyFetch(s, sh)
+	if errors.Is(err, ErrShardProtocol) {
+		sh.idx, sh.epoch = nil, 0
 	}
-	version, blob, notMod, err := c.clients[s].Snapshot(haveVer)
+	return snap, err
+}
+
+// applyFetch performs fetchShard's exchange and apply. Callers hold sh.mu.
+func (c *RemoteCollection) applyFetch(s int, sh *remoteShard) (*lsh.Snapshot, error) {
+	var have *lsh.Snapshot
+	var haveVer uint64
+	haveN := 0
+	if sh.idx != nil {
+		have = sh.idx.Current()
+		haveVer, haveN = have.Version(), have.N()
+	}
+	f, err := c.clients[s].Delta(sh.epoch, haveVer, haveN)
 	if err != nil {
 		return nil, err
 	}
-	if notMod {
-		if have == nil || version != haveVer {
-			return nil, fmt.Errorf("shard answered not-modified for version %d we do not hold: %w", version, ErrShardProtocol)
+	switch f.Kind {
+	case shardrpc.FetchNotModified:
+		if have == nil || f.Version != haveVer {
+			return nil, fmt.Errorf("shard answered not-modified for version %d we do not hold: %w", f.Version, ErrShardProtocol)
 		}
 		return have, nil
+	case shardrpc.FetchDelta:
+		d := f.Delta
+		if have == nil || f.Version <= haveVer || len(d.Vectors) == 0 || d.N != haveN+len(d.Vectors) {
+			return nil, fmt.Errorf("delta to v%d with %d vectors (n %d) does not extend our v%d with n %d: %w",
+				f.Version, len(d.Vectors), d.N, haveVer, haveN, ErrShardProtocol)
+		}
+		sh.idx.InsertBatch(d.Vectors)
+		snap, err := sh.idx.PublishAt(f.Version)
+		if err != nil {
+			return nil, fmt.Errorf("%v: %w", err, ErrShardProtocol)
+		}
+		for t, nh := range d.TableNH {
+			if got := snap.Table(t).NH(); got != nh {
+				return nil, fmt.Errorf("delta applied to N_H %d in table %d, server has %d: %w", got, t, nh, ErrShardProtocol)
+			}
+		}
+		return snap, nil
 	}
-	idx, err := persist.DecodeSnapshot(blob)
+	idx, err := persist.DecodeSnapshot(f.Blob)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot blob: %v: %w", err, ErrShardProtocol)
 	}
 	snap := idx.Current()
-	if snap.Version() != version {
-		return nil, fmt.Errorf("snapshot blob carries version %d, response header %d: %w", snap.Version(), version, ErrShardProtocol)
+	if snap.Version() != f.Version {
+		return nil, fmt.Errorf("snapshot blob carries version %d, response header %d: %w", snap.Version(), f.Version, ErrShardProtocol)
 	}
 	if snap.Family() != c.family || snap.K() != c.opt.K || snap.L() != c.opt.Tables {
 		return nil, fmt.Errorf("snapshot blob hashes with a different identity: %w", ErrShardProtocol)
 	}
+	sh.idx, sh.epoch = idx, f.Epoch
 	return snap, nil
 }
 
 // capture fetches the current shard-snapshot vector — the remote analogue
 // of ShardGroup.Capture. Shards are fetched in parallel; unchanged shards
-// cost one not-modified round trip. Any shard failing fails the capture
-// with that shard's typed error.
+// cost one not-modified round trip, grown ones a delta. Any shard failing
+// fails the capture with that shard's typed error.
 func (c *RemoteCollection) capture() (*lsh.GroupSnapshot, error) {
 	S := len(c.clients)
-	c.mu.Lock()
-	have := make([]*lsh.Snapshot, S)
-	copy(have, c.snaps)
-	c.mu.Unlock()
-
 	snaps := make([]*lsh.Snapshot, S)
 	errs := make([]error, S)
 	var wg sync.WaitGroup
@@ -288,7 +333,7 @@ func (c *RemoteCollection) capture() (*lsh.GroupSnapshot, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			snaps[s], errs[s] = c.fetchShard(s, have[s])
+			snaps[s], errs[s] = c.fetchShard(s)
 		}(s)
 	}
 	wg.Wait()
@@ -297,16 +342,6 @@ func (c *RemoteCollection) capture() (*lsh.GroupSnapshot, error) {
 			return nil, fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.clients[s].Addr(), err)
 		}
 	}
-	// Advance the cache, per shard and forward only: shard versions are
-	// monotone, so concurrent captures can only race each other toward
-	// newer versions, never adopt an older snapshot over a newer one.
-	c.mu.Lock()
-	for s, snap := range snaps {
-		if c.snaps[s] == nil || snap.Version() > c.snaps[s].Version() {
-			c.snaps[s] = snap
-		}
-	}
-	c.mu.Unlock()
 	gs, err := lsh.NewGroupSnapshot(snaps)
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: %v: %w", err, ErrShardProtocol)
@@ -524,16 +559,7 @@ func (c *RemoteCollection) ExactJoinSize(tau float64) (int64, error) {
 		return 0, err
 	}
 	if c.opt.Measure != CosineSimilarity {
-		data := gs.Data()
-		var count int64
-		for i := range data {
-			for j := i + 1; j < len(data); j++ {
-				if c.sim(data[i], data[j]) >= tau {
-					count++
-				}
-			}
-		}
-		return count, nil
+		return bruteCount(gs.Data(), c.sim, tau)
 	}
 	return exactjoin.NewJoiner(gs.Data()).CountAt(tau)
 }

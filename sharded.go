@@ -273,23 +273,10 @@ func versionsAdvance(next, prev []uint64) bool {
 // inverted-index exact joiner (brute force for non-cosine measures).
 func (c *ShardedCollection) ExactJoinSize(tau float64) (int64, error) {
 	if c.opt.Measure != CosineSimilarity {
-		return c.exactBrute(c.capture(), tau)
+		return bruteCount(c.capture().Data(), c.sim, tau)
 	}
 	j, _ := c.exactJoiner()
 	return j.CountAt(tau)
-}
-
-func (c *ShardedCollection) exactBrute(gs *lsh.GroupSnapshot, tau float64) (int64, error) {
-	data := gs.Data()
-	var count int64
-	for i := range data {
-		for j := i + 1; j < len(data); j++ {
-			if c.sim(data[i], data[j]) >= tau {
-				count++
-			}
-		}
-	}
-	return count, nil
 }
 
 // JoinPairs materializes the exact similarity join at tau over the union
@@ -297,7 +284,12 @@ func (c *ShardedCollection) exactBrute(gs *lsh.GroupSnapshot, tau float64) (int6
 // shard they are plain dense ids, like Collection.JoinPairs.
 func (c *ShardedCollection) JoinPairs(tau float64) ([]JoinPair, error) {
 	if c.opt.Measure != CosineSimilarity {
-		return c.joinPairsBruteSharded(tau)
+		gs := c.capture()
+		var out []JoinPair
+		err := bruteJoin(gs.Data(), c.sim, tau, func(i, j int, s float64) {
+			out = append(out, JoinPair{U: c.denseToID(gs, i), V: c.denseToID(gs, j), Sim: s})
+		})
+		return out, err
 	}
 	j, gs := c.exactJoiner()
 	raw, err := j.Pairs(tau)
@@ -307,23 +299,6 @@ func (c *ShardedCollection) JoinPairs(tau float64) ([]JoinPair, error) {
 	out := make([]JoinPair, len(raw))
 	for i, p := range raw {
 		out[i] = JoinPair{U: c.denseToID(gs, int(p.U)), V: c.denseToID(gs, int(p.V)), Sim: p.Sim}
-	}
-	return out, nil
-}
-
-func (c *ShardedCollection) joinPairsBruteSharded(tau float64) ([]JoinPair, error) {
-	if tau <= 0 || tau > 1 {
-		return nil, fmt.Errorf("lshjoin: threshold must be in (0, 1], got %v", tau)
-	}
-	gs := c.capture()
-	data := gs.Data()
-	var out []JoinPair
-	for i := range data {
-		for j := i + 1; j < len(data); j++ {
-			if s := c.sim(data[i], data[j]); s >= tau {
-				out = append(out, JoinPair{U: c.denseToID(gs, i), V: c.denseToID(gs, j), Sim: s})
-			}
-		}
 	}
 	return out, nil
 }
