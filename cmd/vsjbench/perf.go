@@ -120,12 +120,6 @@ func runPerf(outPath string) (*perfReport, error) {
 			_ = lsh.SignDigest(data, lsh.NewSimHash(uint64(i+1)), k, 8, lsh.SignConfig{PanelBytes: 4 << 20})
 		}
 	})
-	add("sign_float32_lane", func(b *testing.B) {
-		// Fused again in the float32 lane: half the cache bytes per row.
-		for i := 0; i < b.N; i++ {
-			_ = lsh.SignDigest(data, lsh.NewSimHash(uint64(i+1)), k, 8, lsh.SignConfig{Float32: true, PanelBytes: 256 << 20})
-		}
-	})
 	add("signature_simhash_k20_naive", func(b *testing.B) {
 		f := lsh.NewSimHash(7)
 		for i := 0; i < b.N; i++ {
@@ -541,7 +535,6 @@ var gatedBenchmarks = []string{
 	"build_k20_l1",
 	"sign_fused_k20_l8",
 	"sign_panel_streamed",
-	"sign_float32_lane",
 	"query_k8_l4",
 	"estimate_lshss_tau08",
 	"snapshot_publish_after_insert",

@@ -27,16 +27,10 @@ import (
 // indexes, same estimator seed stream, same results. All methods are safe
 // for unsynchronized concurrent use.
 type CrossJoin struct {
-	opt    Options
-	family lsh.Family
-	sim    core.SimFunc
-	left   *lsh.ShardGroup
-	right  *lsh.ShardGroup
-
-	// Durable backing (nil for in-memory cross joins), one store per shard
-	// per side; closed flips once.
-	leftStores, rightStores []*persist.Store
-	closed                  atomic.Bool
+	opt         Options
+	family      lsh.Family
+	sim         core.SimFunc
+	left, right *localSource
 
 	seedCtr atomic.Uint64
 
@@ -75,7 +69,7 @@ func NewCrossJoin(left, right []Vector, opt Options) (*CrossJoin, error) {
 	if opt.Shards > 1 && bits.UintSize < 64 {
 		return nil, fmt.Errorf("lshjoin: Shards > 1 requires a 64-bit platform (vector ids pack shard and local index into one int)")
 	}
-	family, sim, err := familyFor(opt)
+	family, _, err := familyFor(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -87,18 +81,27 @@ func NewCrossJoin(left, right []Vector, opt Options) (*CrossJoin, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: right index: %w", err)
 	}
-	cj := &CrossJoin{
-		opt: opt, family: family, sim: sim, left: lg, right: rg,
-		strat: core.NewBipartiteStratumCache(0),
-	}
+	var leftStores, rightStores []*persist.Store
 	if opt.Dir != "" {
-		if cj.leftStores, cj.rightStores, err = persist.CreateCross(faultfs.OS{}, opt.Dir, lg, rg); err != nil {
+		if leftStores, rightStores, err = persist.CreateCross(faultfs.OS{}, opt.Dir, lg, rg); err != nil {
 			return nil, fmt.Errorf("lshjoin: %w", err)
 		}
-		applyStorePolicy(opt, cj.leftStores...)
-		applyStorePolicy(opt, cj.rightStores...)
 	}
-	return cj, nil
+	return newCrossJoin(opt, lg, rg, leftStores, rightStores)
+}
+
+// newCrossJoin serves the two side groups, and their stores when durable.
+func newCrossJoin(opt Options, left, right *lsh.ShardGroup, leftStores, rightStores []*persist.Store) (*CrossJoin, error) {
+	_, sim, err := familyFor(opt)
+	if err != nil {
+		return nil, err
+	}
+	return &CrossJoin{
+		opt: opt, family: left.Family(), sim: sim,
+		left:  newLocalSource(opt, left, leftStores),
+		right: newLocalSource(opt, right, rightStores),
+		strat: core.NewBipartiteStratumCache(0),
+	}, nil
 }
 
 // NewCrossJoinSharded is NewCrossJoin with an explicit shard count: it
@@ -137,63 +140,27 @@ func (cj *CrossJoin) RightVersions() []uint64 { return cj.right.Capture().Versio
 func (cj *CrossJoin) LeftVector(id int) Vector  { return groupVector(cj.left, id) }
 func (cj *CrossJoin) RightVector(id int) Vector { return groupVector(cj.right, id) }
 
-func groupVector(g *lsh.ShardGroup, id int) Vector {
+func groupVector(side *localSource, id int) Vector {
 	s, local := lsh.SplitGroupID(int64(id))
-	return g.Capture().Snap(s).Data()[local]
+	return side.Capture().Snap(s).Data()[local]
 }
 
 // InsertLeft adds a vector to the left side, returning its id (shard-encoded
 // like ShardedCollection ids; a plain dense id with one shard). Only the
 // vector's home shard serializes, so inserts on different shards proceed in
 // parallel, and estimates keep serving over captured snapshots throughout.
-func (cj *CrossJoin) InsertLeft(v Vector) int {
-	id := cj.left.Insert(v)
-	cj.maybePublish(cj.left, int(id))
-	return int(id)
-}
+func (cj *CrossJoin) InsertLeft(v Vector) int { return must(insertOne(cj.left, v)) }
 
 // InsertRight adds a vector to the right side; see InsertLeft.
-func (cj *CrossJoin) InsertRight(v Vector) int {
-	id := cj.right.Insert(v)
-	cj.maybePublish(cj.right, int(id))
-	return int(id)
-}
+func (cj *CrossJoin) InsertRight(v Vector) int { return must(insertOne(cj.right, v)) }
 
 // InsertBatchLeft routes each vector to its home shard of the left side and
 // batch-inserts the per-shard runs through the batched signature engine,
 // returning per-vector ids aligned with vs.
-func (cj *CrossJoin) InsertBatchLeft(vs []Vector) []int { return cj.insertBatch(cj.left, vs) }
+func (cj *CrossJoin) InsertBatchLeft(vs []Vector) []int { return must(routeInsert(cj.left, vs)) }
 
 // InsertBatchRight batch-inserts into the right side; see InsertBatchLeft.
-func (cj *CrossJoin) InsertBatchRight(vs []Vector) []int { return cj.insertBatch(cj.right, vs) }
-
-func (cj *CrossJoin) insertBatch(g *lsh.ShardGroup, vs []Vector) []int {
-	ids64 := g.InsertBatch(vs)
-	ids := make([]int, len(ids64))
-	seen := make(map[int]struct{})
-	for i, id := range ids64 {
-		ids[i] = int(id)
-		s, _ := lsh.SplitGroupID(id)
-		seen[s] = struct{}{}
-	}
-	for s := range seen {
-		cj.maybePublishShard(g, s)
-	}
-	return ids
-}
-
-// maybePublish applies the per-side size-based publication policy to the
-// home shard of a freshly inserted id.
-func (cj *CrossJoin) maybePublish(g *lsh.ShardGroup, id int) {
-	s, _ := lsh.SplitGroupID(int64(id))
-	cj.maybePublishShard(g, s)
-}
-
-func (cj *CrossJoin) maybePublishShard(g *lsh.ShardGroup, s int) {
-	if p := cj.opt.PublishEvery; p > 0 && g.Shard(s).Pending() >= p {
-		g.Shard(s).Snapshot()
-	}
-}
+func (cj *CrossJoin) InsertBatchRight(vs []Vector) []int { return must(routeInsert(cj.right, vs)) }
 
 // stratum returns the bipartite stratum view for the captured pair,
 // reusing the cached one when neither side moved — a static corpus served

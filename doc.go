@@ -61,6 +61,14 @@
 // with Shards == 1 is guaranteed draw-for-draw identical to a Collection
 // built from the same vectors and options.
 //
+// The three self-join front ends — Collection, ShardedCollection and the
+// network RemoteCollection below — share one read path. Each reads through
+// a source that captures a shard-snapshot vector: an in-process shard group
+// (a Collection is its one-shard case) or the coordinator's copies of
+// remote shards. Estimators, the estimator seed stream, exact joins,
+// search and routed ingest are written once against that capture, so the
+// front ends differ only in their source and in whether a read can fail.
+//
 // General (non-self) joins serve the same way. A CrossJoin is a live
 // object: both sides accept InsertLeft / InsertRight (and batch forms)
 // concurrently with estimates, Options.PublishEvery applies per side and
@@ -179,14 +187,13 @@
 // cached in one ℓ·k-wide dimension-major panel (one vocabulary pass per
 // corpus instead of ℓ), and builds stream that panel in column blocks
 // bounded by Options.SignPanelBytes, so signing memory stays flat however
-// large the vocabulary grows. Options.Float32Signing switches the
-// projection cache and accumulators to a float32 lane — half the memory
-// bandwidth on wide corpora, at the cost of signatures that differ from
-// (but are statistically equivalent to) the float64 lane's.
+// large the vocabulary grows. Signing runs in float64 only, so the batch
+// engine, single-vector hashing and every panel budget produce the same
+// signatures.
 //
 // Run `vsjbench -perf` to regenerate the BENCH_lsh.json hot-path timings
 // tracked in the repository root, including a mixed Estimate+Insert serving
-// benchmark and the fused / panel-streamed / float32 signing paths.
+// benchmark and the fused / panel-streamed signing paths.
 //
 // # Invariant checking
 //

@@ -3,7 +3,6 @@ package lshjoin
 import (
 	"fmt"
 
-	"lshjoin/internal/core"
 	"lshjoin/internal/faultfs"
 	"lshjoin/internal/lsh"
 	"lshjoin/internal/lsh/persist"
@@ -24,54 +23,48 @@ var (
 	ErrCorruptStore = persist.ErrCorrupt
 )
 
-// measureOf maps a stored family spec back to the public Measure.
-func measureOf(spec lsh.FamilySpec) (Measure, error) {
+// adopt folds a source's hashing identity — a store's recovered
+// parameters or the shard servers' handshake — into opt under the
+// adopt-or-assert rule. Hashing fields (K, Tables, Seed, Measure, Shards)
+// are owned by the source: leaving them zero adopts its values, setting
+// them is an assertion that must match (ErrInvalidOptions otherwise) —
+// there is no way to rehash an existing store by reopening it with
+// different options. Runtime-only fields (PublishEvery) pass through
+// untouched. A family the public API cannot name fails with the source's
+// sentinel: ErrCorruptStore for a store, ErrShardProtocol for a server.
+func adopt(opt Options, src string, sentinel error, spec lsh.FamilySpec, k, tables, shards int) (Options, error) {
+	var measure Measure
 	switch spec.Name {
 	case "simhash":
-		return CosineSimilarity, nil
+		measure = CosineSimilarity
 	case "minhash":
-		return JaccardSimilarity, nil
-	}
-	return 0, fmt.Errorf("lshjoin: store built with unsupported family %q: %w", spec.Name, ErrCorruptStore)
-}
-
-// reconcile folds the hashing parameters recovered from disk into opt.
-// Hashing fields (K, Tables, Seed, Measure, Shards) are owned by the store:
-// leaving them zero adopts the stored values, setting them is an assertion
-// that must match (ErrInvalidOptions otherwise) — there is no way to rehash
-// an existing store by reopening it with different options. Runtime-only
-// fields (PublishEvery) pass through untouched.
-func reconcile(opt Options, spec lsh.FamilySpec, k, tables, shards int) (Options, error) {
-	measure, err := measureOf(spec)
-	if err != nil {
-		return opt, err
+		measure = JaccardSimilarity
+	default:
+		return opt, fmt.Errorf("lshjoin: %s uses unsupported hash family %q: %w", src, spec.Name, sentinel)
 	}
 	if opt.K != 0 && opt.K != k {
-		return opt, fmt.Errorf("%w: K = %d but the store was built with K = %d", ErrInvalidOptions, opt.K, k)
+		return opt, fmt.Errorf("%w: K = %d but %s hashes with K = %d", ErrInvalidOptions, opt.K, src, k)
 	}
 	if opt.Tables != 0 && opt.Tables != tables {
-		return opt, fmt.Errorf("%w: Tables = %d but the store was built with %d", ErrInvalidOptions, opt.Tables, tables)
+		return opt, fmt.Errorf("%w: Tables = %d but %s hashes with %d", ErrInvalidOptions, opt.Tables, src, tables)
 	}
 	if opt.Seed != 0 && opt.Seed != spec.Seed {
-		return opt, fmt.Errorf("%w: Seed = %d but the store was built with %d", ErrInvalidOptions, opt.Seed, spec.Seed)
+		return opt, fmt.Errorf("%w: Seed = %d but %s hashes with %d", ErrInvalidOptions, opt.Seed, src, spec.Seed)
 	}
 	if opt.Measure != measure && opt.Measure != CosineSimilarity {
-		return opt, fmt.Errorf("%w: Measure conflicts with the store's hash family %q", ErrInvalidOptions, spec.Name)
+		return opt, fmt.Errorf("%w: Measure conflicts with the hash family %q of %s", ErrInvalidOptions, spec.Name, src)
 	}
 	if opt.Shards != 0 && opt.Shards != shards {
-		return opt, fmt.Errorf("%w: Shards = %d but the store holds %d", ErrInvalidOptions, opt.Shards, shards)
+		return opt, fmt.Errorf("%w: Shards = %d but %s holds %d", ErrInvalidOptions, opt.Shards, src, shards)
 	}
 	opt.K, opt.Tables, opt.Seed, opt.Measure, opt.Shards = k, tables, spec.Seed, measure, shards
 	return opt, nil
 }
 
-// applyStorePolicy folds the runtime store knobs of opt into freshly
-// created or recovered stores.
-func applyStorePolicy(opt Options, stores ...*persist.Store) {
-	if opt.CheckpointBytes > 0 {
-		for _, st := range stores {
-			st.SetCheckpointBytes(opt.CheckpointBytes)
-		}
+// closeAll releases stores on an error path.
+func closeAll(stores ...*persist.Store) {
+	for _, st := range stores {
+		st.Close()
 	}
 }
 
@@ -85,7 +78,7 @@ func applyStorePolicy(opt Options, stores ...*persist.Store) {
 // store, ErrCorruptStore if its state fails validation, ErrInvalidOptions
 // on conflicting options.
 func Open(dir string, opt Options) (*Collection, error) {
-	opt.Dir = dir // before validation: Dir-dependent rejections must fire
+	opt.Dir = dir
 	opt, err := opt.validated()
 	if err != nil {
 		return nil, err
@@ -94,28 +87,27 @@ func Open(dir string, opt Options) (*Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: %w", err)
 	}
+	opt, err = adoptStore(opt, index)
+	if err != nil {
+		store.Close()
+		return nil, err
+	}
+	c, err := newCollection(opt, index, []*persist.Store{store})
+	if err != nil {
+		store.Close()
+	}
+	return c, err
+}
+
+// adoptStore folds the identity of an index recovered from a plain
+// single-index store into opt.
+func adoptStore(opt Options, index *lsh.Index) (Options, error) {
 	spec, err := lsh.SpecOf(index.Family())
 	if err != nil {
-		return nil, fmt.Errorf("lshjoin: %w", err)
+		return opt, fmt.Errorf("lshjoin: %w", err)
 	}
 	opt.Shards = 0 // a plain store has no shard count to assert against
-	if opt, err = reconcile(opt, spec, index.K(), index.L(), 1); err != nil {
-		store.Close()
-		return nil, err
-	}
-	_, sim, err := familyFor(opt)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	applyStorePolicy(opt, store)
-	return &Collection{
-		opt:    opt,
-		family: index.Family(),
-		sim:    sim,
-		index:  index,
-		store:  store,
-	}, nil
+	return adopt(opt, "the store", ErrCorruptStore, spec, index.K(), index.L(), 1)
 }
 
 // Close makes the collection durable at its current version — pending
@@ -124,22 +116,7 @@ func Open(dir string, opt Options) (*Collection, error) {
 // means some earlier publish may not have reached disk and the checkpoint
 // could not repair it. Close is idempotent; a nil-store (purely in-memory)
 // collection closes trivially. The collection must not be used afterwards.
-func (c *Collection) Close() error {
-	if c.store == nil || !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	var cerr error
-	c.index.PublishAndThen(func(s *lsh.Snapshot) {
-		cerr = c.store.Checkpoint(s)
-	})
-	if err := c.store.Close(); cerr == nil {
-		cerr = err
-	}
-	if cerr != nil {
-		return fmt.Errorf("lshjoin: close: %w", cerr)
-	}
-	return nil
-}
+func (c *Collection) Close() error { return closeStores(nil, c.local) }
 
 // OpenSharded recovers the durable sharded collection stored in dir: the
 // group manifest names the shape, every shard recovers independently
@@ -147,7 +124,7 @@ func (c *Collection) Close() error {
 // estimates and samples exactly as the one that wrote the store. Options
 // semantics match Open, with Shards also recoverable or assertable.
 func OpenSharded(dir string, opt Options) (*ShardedCollection, error) {
-	opt.Dir = dir // before validation: Dir-dependent rejections must fire
+	opt.Dir = dir
 	opt, err := opt.validated()
 	if err != nil {
 		return nil, err
@@ -156,28 +133,16 @@ func OpenSharded(dir string, opt Options) (*ShardedCollection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: %w", err)
 	}
-	closeAll := func() {
-		for _, st := range stores {
-			st.Close()
-		}
-	}
-	if opt, err = reconcile(opt, meta.Family, meta.K, meta.Ell, meta.Shards); err != nil {
-		closeAll()
-		return nil, err
-	}
-	_, sim, err := familyFor(opt)
+	opt, err = adopt(opt, "the store", ErrCorruptStore, meta.Family, meta.K, meta.Ell, meta.Shards)
 	if err != nil {
-		closeAll()
+		closeAll(stores...)
 		return nil, err
 	}
-	applyStorePolicy(opt, stores...)
-	return &ShardedCollection{
-		opt:    opt,
-		family: group.Family(),
-		sim:    sim,
-		group:  group,
-		stores: stores,
-	}, nil
+	c, err := newSharded(opt, group, stores)
+	if err != nil {
+		closeAll(stores...)
+	}
+	return c, err
 }
 
 // OpenCrossJoin recovers the durable cross join stored in dir: the cross
@@ -190,7 +155,7 @@ func OpenSharded(dir string, opt Options) (*ShardedCollection, error) {
 // ErrCorruptStore if its state fails validation, ErrInvalidOptions on
 // conflicting options.
 func OpenCrossJoin(dir string, opt Options) (*CrossJoin, error) {
-	opt.Dir = dir // before validation: Dir-dependent rejections must fire
+	opt.Dir = dir
 	opt, err := opt.validated()
 	if err != nil {
 		return nil, err
@@ -199,35 +164,16 @@ func OpenCrossJoin(dir string, opt Options) (*CrossJoin, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: %w", err)
 	}
-	closeAll := func() {
-		for _, st := range leftStores {
-			st.Close()
-		}
-		for _, st := range rightStores {
-			st.Close()
-		}
-	}
-	if opt, err = reconcile(opt, meta.Family, meta.K, 1, meta.Shards); err != nil {
-		closeAll()
-		return nil, err
-	}
-	_, sim, err := familyFor(opt)
+	opt, err = adopt(opt, "the store", ErrCorruptStore, meta.Family, meta.K, 1, meta.Shards)
 	if err != nil {
-		closeAll()
+		closeAll(append(leftStores, rightStores...)...)
 		return nil, err
 	}
-	applyStorePolicy(opt, leftStores...)
-	applyStorePolicy(opt, rightStores...)
-	return &CrossJoin{
-		opt:         opt,
-		family:      left.Family(),
-		sim:         sim,
-		left:        left,
-		right:       right,
-		leftStores:  leftStores,
-		rightStores: rightStores,
-		strat:       core.NewBipartiteStratumCache(0),
-	}, nil
+	cj, err := newCrossJoin(opt, left, right, leftStores, rightStores)
+	if err != nil {
+		closeAll(append(leftStores, rightStores...)...)
+	}
+	return cj, err
 }
 
 // Close makes both sides durable at their current versions — every shard
@@ -236,62 +182,25 @@ func OpenCrossJoin(dir string, opt Options) (*CrossJoin, error) {
 // stores. Semantics otherwise match Collection.Close: idempotent, trivial
 // for in-memory cross joins, and the first sticky store error is returned.
 func (cj *CrossJoin) Close() error {
-	if cj.leftStores == nil || !cj.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	var cerr error
-	lvers := closeSideStores(cj.left, cj.leftStores, &cerr)
-	rvers := closeSideStores(cj.right, cj.rightStores, &cerr)
-	spec, err := lsh.SpecOf(cj.family)
-	if err == nil {
-		for _, side := range []struct {
-			left     bool
-			versions []uint64
-		}{{true, lvers}, {false, rvers}} {
-			gm := persist.GroupMeta{
-				Family: spec, K: cj.opt.K, Ell: 1,
-				Shards: cj.left.S(), Versions: side.versions,
-			}
-			if werr := persist.WriteGroupManifest(faultfs.OS{}, persist.CrossSideDir(cj.opt.Dir, side.left), gm); werr != nil && err == nil {
+	return closeStores(func(versions [][]uint64) error {
+		spec, err := lsh.SpecOf(cj.family)
+		if err != nil {
+			return err
+		}
+		for i, left := range []bool{true, false} {
+			gm := persist.GroupMeta{Family: spec, K: cj.opt.K, Ell: 1, Shards: cj.left.S(), Versions: versions[i]}
+			if werr := persist.WriteGroupManifest(faultfs.OS{}, persist.CrossSideDir(cj.opt.Dir, left), gm); werr != nil && err == nil {
 				err = werr
 			}
 		}
-		if err == nil {
-			err = persist.WriteCrossManifest(faultfs.OS{}, cj.opt.Dir, persist.CrossMeta{
-				Family: spec, K: cj.opt.K, Shards: cj.left.S(),
-				LeftVersions: lvers, RightVersions: rvers,
-			})
+		if err != nil {
+			return err
 		}
-	}
-	if err != nil && cerr == nil {
-		cerr = err
-	}
-	for _, st := range append(append([]*persist.Store(nil), cj.leftStores...), cj.rightStores...) {
-		if err := st.Close(); err != nil && cerr == nil {
-			cerr = err
-		}
-	}
-	if cerr != nil {
-		return fmt.Errorf("lshjoin: close: %w", cerr)
-	}
-	return nil
-}
-
-// closeSideStores publishes and checkpoints every shard of one side,
-// recording the first sticky error in cerr, and returns the side's final
-// durable version vector.
-func closeSideStores(g *lsh.ShardGroup, stores []*persist.Store, cerr *error) []uint64 {
-	versions := make([]uint64, len(stores))
-	for s, st := range stores {
-		shard, store := g.Shard(s), st
-		shard.PublishAndThen(func(snap *lsh.Snapshot) {
-			if err := store.Checkpoint(snap); err != nil && *cerr == nil {
-				*cerr = err
-			}
+		return persist.WriteCrossManifest(faultfs.OS{}, cj.opt.Dir, persist.CrossMeta{
+			Family: spec, K: cj.opt.K, Shards: cj.left.S(),
+			LeftVersions: versions[0], RightVersions: versions[1],
 		})
-		versions[s] = store.DurableVersion()
-	}
-	return versions
+	}, cj.left, cj.right)
 }
 
 // Close makes every shard durable at its current version and rewrites the
@@ -299,38 +208,13 @@ func closeSideStores(g *lsh.ShardGroup, stores []*persist.Store, cerr *error) []
 // stores. Semantics otherwise match Collection.Close: idempotent, trivial
 // for in-memory collections, and the first sticky shard error is returned.
 func (c *ShardedCollection) Close() error {
-	if c.stores == nil || !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	var cerr error
-	versions := make([]uint64, len(c.stores))
-	for s, st := range c.stores {
-		shard, store := c.group.Shard(s), st
-		shard.PublishAndThen(func(snap *lsh.Snapshot) {
-			if err := store.Checkpoint(snap); err != nil && cerr == nil {
-				cerr = err
-			}
+	return closeStores(func(versions [][]uint64) error {
+		spec, err := lsh.SpecOf(c.family)
+		if err != nil {
+			return err
+		}
+		return persist.WriteGroupManifest(faultfs.OS{}, c.opt.Dir, persist.GroupMeta{
+			Family: spec, K: c.opt.K, Ell: c.opt.Tables, Shards: c.local.S(), Versions: versions[0],
 		})
-		versions[s] = store.DurableVersion()
-	}
-	spec, err := lsh.SpecOf(c.family)
-	if err == nil {
-		meta := persist.GroupMeta{
-			Family: spec, K: c.opt.K, Ell: c.opt.Tables,
-			Shards: c.group.S(), Versions: versions,
-		}
-		err = persist.WriteGroupManifest(faultfs.OS{}, c.opt.Dir, meta)
-	}
-	if err != nil && cerr == nil {
-		cerr = err
-	}
-	for _, st := range c.stores {
-		if err := st.Close(); err != nil && cerr == nil {
-			cerr = err
-		}
-	}
-	if cerr != nil {
-		return fmt.Errorf("lshjoin: close: %w", cerr)
-	}
-	return nil
+	}, c.local)
 }

@@ -229,7 +229,7 @@ func TestCheckpointBytesRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.store.CheckpointBytes(); got != threshold {
+	if got := c.local.stores[0].CheckpointBytes(); got != threshold {
 		t.Fatalf("New store threshold %d, want %d", got, threshold)
 	}
 	if err := c.Close(); err != nil {
@@ -239,7 +239,7 @@ func TestCheckpointBytesRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.store.CheckpointBytes(); got != threshold {
+	if got := c.local.stores[0].CheckpointBytes(); got != threshold {
 		t.Fatalf("Open store threshold %d, want %d", got, threshold)
 	}
 	if err := c.Close(); err != nil {
@@ -258,7 +258,7 @@ func TestCheckpointBytesRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, st := range sc.stores {
+	for s, st := range sc.local.stores {
 		if got := st.CheckpointBytes(); got != threshold {
 			t.Fatalf("sharded store %d threshold %d, want %d", s, got, threshold)
 		}
@@ -279,11 +279,11 @@ func TestCheckpointBytesRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := range cj.leftStores {
-		if got := cj.leftStores[s].CheckpointBytes(); got != threshold {
+	for s := range cj.left.stores {
+		if got := cj.left.stores[s].CheckpointBytes(); got != threshold {
 			t.Fatalf("cross left store %d threshold %d, want %d", s, got, threshold)
 		}
-		if got := cj.rightStores[s].CheckpointBytes(); got != threshold {
+		if got := cj.right.stores[s].CheckpointBytes(); got != threshold {
 			t.Fatalf("cross right store %d threshold %d, want %d", s, got, threshold)
 		}
 	}

@@ -133,9 +133,8 @@ func (o *estOpts) ssOptions(n int) []core.LSHSSOption {
 }
 
 // buildEstimator constructs the requested algorithm over a captured
-// shard-snapshot vector — the one algorithm switch behind both Collection
-// (which wraps its single snapshot via lsh.SingleSnapshot) and
-// ShardedCollection. The merged constructors all delegate to their
+// shard-snapshot vector — the one algorithm switch behind every front end
+// (a Collection's capture is a single-shard vector). The merged constructors all delegate to their
 // single-snapshot counterparts at S = 1, so the unsharded path is
 // draw-for-draw what it always was; at S > 1 the LSH-SS family, the median
 // and virtual-bucket estimators sample through the merged per-table weight
@@ -198,43 +197,4 @@ func buildEstimator(gs *lsh.GroupSnapshot, family lsh.Family, sim core.SimFunc, 
 		return nil, fmt.Errorf("lshjoin: %s: %w", algo, err)
 	}
 	return inner, nil
-}
-
-// Estimator constructs the requested algorithm over this collection.
-func (c *Collection) Estimator(algo Algorithm, opts ...EstimatorOption) (Estimator, error) {
-	var o estOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.seed == 0 {
-		o.seed = c.nextSeed()
-	}
-	// Bind to the collection version current at construction; the estimator
-	// reads this immutable snapshot for its whole lifetime.
-	inner, err := buildEstimator(lsh.SingleSnapshot(c.snap()), c.family, c.sim, c.opt, algo, o)
-	if err != nil {
-		return nil, err
-	}
-	return &seeded{inner: inner, rng: xrand.New(o.seed)}, nil
-}
-
-// Estimator constructs the requested algorithm over this sharded collection.
-// Every algorithm of the paper is available over shards; with one shard the
-// construction delegates to the single-index path, so estimates are
-// draw-for-draw those of an equivalent Collection.
-func (c *ShardedCollection) Estimator(algo Algorithm, opts ...EstimatorOption) (Estimator, error) {
-	var o estOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.seed == 0 {
-		o.seed = c.nextSeed()
-	}
-	// Bind to the shard-snapshot vector captured now; the estimator reads
-	// these immutable per-shard versions for its whole lifetime.
-	inner, err := buildEstimator(c.capture(), c.family, c.sim, c.opt, algo, o)
-	if err != nil {
-		return nil, err
-	}
-	return &seeded{inner: inner, rng: xrand.New(o.seed)}, nil
 }

@@ -38,20 +38,6 @@ func F64MulAdd4Set(dst, r1, r2, r3, r4 []float64, w1, w2, w3, w4 float64) {
 	}
 }
 
-// F32MulAdd4 is F64MulAdd4 in the float32 lane.
-func F32MulAdd4(dst, r1, r2, r3, r4 []float32, w1, w2, w3, w4 float32) {
-	for j := range dst {
-		dst[j] = (((dst[j] + w1*r1[j]) + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-	}
-}
-
-// F32MulAdd4Set is F64MulAdd4Set in the float32 lane.
-func F32MulAdd4Set(dst, r1, r2, r3, r4 []float32, w1, w2, w3, w4 float32) {
-	for j := range dst {
-		dst[j] = ((w1*r1[j] + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-	}
-}
-
 // F64MulAddSet writes the first weighted row: dst[j] = w * row[j]. See the
 // unrolled variant for the exact-zero sign caveat versus folding into a
 // zeroed accumulator.
@@ -66,34 +52,6 @@ func F64MulAddSet(dst, row []float64, w float64) {
 func F64MulAdd2Set(dst, r1, r2 []float64, w1, w2 float64) {
 	for j := range dst {
 		dst[j] = w1*r1[j] + w2*r2[j]
-	}
-}
-
-// F32MulAddSet is F64MulAddSet in the float32 lane.
-func F32MulAddSet(dst, row []float32, w float32) {
-	for j := range dst {
-		dst[j] = w * row[j]
-	}
-}
-
-// F32MulAdd2Set is F64MulAdd2Set in the float32 lane.
-func F32MulAdd2Set(dst, r1, r2 []float32, w1, w2 float32) {
-	for j := range dst {
-		dst[j] = w1*r1[j] + w2*r2[j]
-	}
-}
-
-// F32MulAdd is F64MulAdd in the float32 lane.
-func F32MulAdd(dst, row []float32, w float32) {
-	for j := range dst {
-		dst[j] += w * row[j]
-	}
-}
-
-// F32MulAdd2 is F64MulAdd2 in the float32 lane.
-func F32MulAdd2(dst, r1, r2 []float32, w1, w2 float32) {
-	for j := range dst {
-		dst[j] = (dst[j] + w1*r1[j]) + w2*r2[j]
 	}
 }
 

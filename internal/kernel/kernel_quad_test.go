@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-// fill32 mirrors fill64's adversarial mix in the float32 lane.
-func fill32(rng *testRNG, s []float32) {
-	for i := range s {
-		switch rng.Intn(20) {
-		case 0:
-			s[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
-		case 1:
-			s[i] = float32(math.NaN())
-		case 2:
-			s[i] = float32(rng.Norm()) * 1e30
-		case 3:
-			s[i] = float32(rng.Norm()) * 1e-30
-		default:
-			s[i] = float32(rng.Norm())
-		}
-	}
-}
-
-// zeroEq32 is zeroEq in the float32 lane.
-func zeroEq32(a, b float32) bool {
-	return math.Float32bits(a) == math.Float32bits(b) || (a == 0 && b == 0)
-}
-
 // nanEq is bitwise equality except that any NaN matches any NaN: with three
 // chained adds the compiler is free to swap commutative operands between
 // separately compiled expressions, and x86 resolves two-NaN operations from
@@ -38,18 +15,7 @@ func nanEq(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-func nanEq32(a, b float32) bool {
-	return math.Float32bits(a) == math.Float32bits(b) ||
-		(math.IsNaN(float64(a)) && math.IsNaN(float64(b)))
-}
-
 func refF64MulAdd4(dst, r1, r2, r3, r4 []float64, w1, w2, w3, w4 float64) {
-	for j := range dst {
-		dst[j] = (((dst[j] + w1*r1[j]) + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-	}
-}
-
-func refF32MulAdd4(dst, r1, r2, r3, r4 []float32, w1, w2, w3, w4 float32) {
 	for j := range dst {
 		dst[j] = (((dst[j] + w1*r1[j]) + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
 	}
@@ -99,55 +65,6 @@ func TestF64MulAdd4MatchesScalar(t *testing.T) {
 				if !zeroEq(wantSet[j], gotSet[j]) && !(math.IsNaN(wantSet[j]) && math.IsNaN(gotSet[j])) {
 					t.Fatalf("%s: F64MulAdd4Set n=%d lane %d: %x != %x", Impl, n, j,
 						math.Float64bits(gotSet[j]), math.Float64bits(wantSet[j]))
-				}
-			}
-		}
-	}
-}
-
-// TestF32MulAdd4MatchesScalar is the float32-lane counterpart.
-func TestF32MulAdd4MatchesScalar(t *testing.T) {
-	rng := newTestRNG(12)
-	for n := 0; n <= 67; n++ {
-		for rep := 0; rep < 8; rep++ {
-			dst := make([]float32, n)
-			rows := make([][]float32, 4)
-			fill32(rng, dst)
-			for i := range rows {
-				rows[i] = make([]float32, n)
-				fill32(rng, rows[i])
-			}
-			w1, w2 := float32(rng.Norm()), float32(rng.Norm())
-			w3, w4 := float32(rng.Norm()), float32(rng.Norm())
-
-			want := append([]float32(nil), dst...)
-			refF32MulAdd4(want, rows[0], rows[1], rows[2], rows[3], w1, w2, w3, w4)
-			got := append([]float32(nil), dst...)
-			F32MulAdd4(got, rows[0], rows[1], rows[2], rows[3], w1, w2, w3, w4)
-			seq := append([]float32(nil), dst...)
-			refF32MulAdd(seq, rows[0], w1)
-			refF32MulAdd(seq, rows[1], w2)
-			refF32MulAdd(seq, rows[2], w3)
-			refF32MulAdd(seq, rows[3], w4)
-			for j := range want {
-				if !nanEq32(want[j], got[j]) {
-					t.Fatalf("%s: F32MulAdd4 n=%d lane %d: %x != %x", Impl, n, j,
-						math.Float32bits(got[j]), math.Float32bits(want[j]))
-				}
-				if !nanEq32(seq[j], got[j]) {
-					t.Fatalf("%s: F32MulAdd4 n=%d lane %d differs from sequential folds", Impl, n, j)
-				}
-			}
-
-			wantSet := make([]float32, n)
-			refF32MulAdd4(wantSet, rows[0], rows[1], rows[2], rows[3], w1, w2, w3, w4)
-			gotSet := make([]float32, n)
-			fill32(rng, gotSet)
-			F32MulAdd4Set(gotSet, rows[0], rows[1], rows[2], rows[3], w1, w2, w3, w4)
-			for j := range wantSet {
-				if !zeroEq32(wantSet[j], gotSet[j]) && !nanEq32(wantSet[j], gotSet[j]) {
-					t.Fatalf("%s: F32MulAdd4Set n=%d lane %d: %x != %x", Impl, n, j,
-						math.Float32bits(gotSet[j]), math.Float32bits(wantSet[j]))
 				}
 			}
 		}

@@ -47,18 +47,6 @@ func refF64MulAdd2(dst, r1, r2 []float64, w1, w2 float64) {
 	}
 }
 
-func refF32MulAdd(dst, row []float32, w float32) {
-	for j := range dst {
-		dst[j] += w * row[j]
-	}
-}
-
-func refF32MulAdd2(dst, r1, r2 []float32, w1, w2 float32) {
-	for j := range dst {
-		dst[j] = (dst[j] + w1*r1[j]) + w2*r2[j]
-	}
-}
-
 func refU64Min(dst, row []uint64) {
 	for j := range dst {
 		if row[j] < dst[j] {
@@ -176,75 +164,6 @@ func TestF64MulAddSetMatchesScalar(t *testing.T) {
 				}
 				if !zeroEq(got2[j], zero2[j]) {
 					t.Fatalf("%s: F64MulAdd2Set n=%d lane %d differs from zero-fold", Impl, n, j)
-				}
-			}
-		}
-	}
-}
-
-// TestF32MulAddSetMatchesScalar is the float32-lane analogue.
-func TestF32MulAddSetMatchesScalar(t *testing.T) {
-	rng := newTestRNG(5)
-	for n := 0; n <= 67; n++ {
-		for rep := 0; rep < 8; rep++ {
-			dst := make([]float32, n)
-			row := make([]float32, n)
-			r2 := make([]float32, n)
-			for i := 0; i < n; i++ {
-				dst[i] = float32(rng.Norm())
-				row[i] = float32(rng.Norm())
-				r2[i] = float32(rng.Norm())
-			}
-			w1, w2 := float32(rng.Norm()), float32(rng.Norm())
-
-			got := append([]float32(nil), dst...)
-			F32MulAddSet(got, row, w1)
-			got2 := append([]float32(nil), dst...)
-			F32MulAdd2Set(got2, row, r2, w1, w2)
-			for j := 0; j < n; j++ {
-				if math.Float32bits(got[j]) != math.Float32bits(w1*row[j]) {
-					t.Fatalf("%s: F32MulAddSet n=%d lane %d differs", Impl, n, j)
-				}
-				if math.Float32bits(got2[j]) != math.Float32bits(w1*row[j]+w2*r2[j]) {
-					t.Fatalf("%s: F32MulAdd2Set n=%d lane %d differs", Impl, n, j)
-				}
-			}
-		}
-	}
-}
-
-// TestF32MulAddMatchesScalar is the float32-lane analogue.
-func TestF32MulAddMatchesScalar(t *testing.T) {
-	rng := newTestRNG(2)
-	for n := 0; n <= 67; n++ {
-		for rep := 0; rep < 8; rep++ {
-			dst := make([]float32, n)
-			row := make([]float32, n)
-			r2 := make([]float32, n)
-			for i := 0; i < n; i++ {
-				dst[i] = float32(rng.Norm())
-				row[i] = float32(rng.Norm())
-				r2[i] = float32(rng.Norm())
-			}
-			w1, w2 := float32(rng.Norm()), float32(rng.Norm())
-
-			want := append([]float32(nil), dst...)
-			refF32MulAdd(want, row, w1)
-			got := append([]float32(nil), dst...)
-			F32MulAdd(got, row, w1)
-			for j := range want {
-				if math.Float32bits(want[j]) != math.Float32bits(got[j]) {
-					t.Fatalf("%s: F32MulAdd n=%d lane %d differs", Impl, n, j)
-				}
-			}
-
-			want2 := append([]float32(nil), dst...)
-			refF32MulAdd2(want2, row, r2, w1, w2)
-			got2 := append([]float32(nil), dst...)
-			F32MulAdd2(got2, row, r2, w1, w2)
-			for j := range want2 {
-				if math.Float32bits(want2[j]) != math.Float32bits(got2[j]) {
-					t.Fatalf("%s: F32MulAdd2 n=%d lane %d differs", Impl, n, j)
 				}
 			}
 		}

@@ -121,52 +121,6 @@ func F64MulAdd4Set(dst, r1, r2, r3, r4 []float64, w1, w2, w3, w4 float64) {
 	}
 }
 
-// F32MulAdd4 is F64MulAdd4 in the float32 lane.
-func F32MulAdd4(dst, r1, r2, r3, r4 []float32, w1, w2, w3, w4 float32) {
-	n := len(dst)
-	r1 = r1[:n]
-	r2 = r2[:n]
-	r3 = r3[:n]
-	r4 = r4[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0 := (((dst[j] + w1*r1[j]) + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-		d1 := (((dst[j+1] + w1*r1[j+1]) + w2*r2[j+1]) + w3*r3[j+1]) + w4*r4[j+1]
-		d2 := (((dst[j+2] + w1*r1[j+2]) + w2*r2[j+2]) + w3*r3[j+2]) + w4*r4[j+2]
-		d3 := (((dst[j+3] + w1*r1[j+3]) + w2*r2[j+3]) + w3*r3[j+3]) + w4*r4[j+3]
-		dst[j] = d0
-		dst[j+1] = d1
-		dst[j+2] = d2
-		dst[j+3] = d3
-	}
-	for ; j < n; j++ {
-		dst[j] = (((dst[j] + w1*r1[j]) + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-	}
-}
-
-// F32MulAdd4Set is F64MulAdd4Set in the float32 lane.
-func F32MulAdd4Set(dst, r1, r2, r3, r4 []float32, w1, w2, w3, w4 float32) {
-	n := len(dst)
-	r1 = r1[:n]
-	r2 = r2[:n]
-	r3 = r3[:n]
-	r4 = r4[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0 := ((w1*r1[j] + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-		d1 := ((w1*r1[j+1] + w2*r2[j+1]) + w3*r3[j+1]) + w4*r4[j+1]
-		d2 := ((w1*r1[j+2] + w2*r2[j+2]) + w3*r3[j+2]) + w4*r4[j+2]
-		d3 := ((w1*r1[j+3] + w2*r2[j+3]) + w3*r3[j+3]) + w4*r4[j+3]
-		dst[j] = d0
-		dst[j+1] = d1
-		dst[j+2] = d2
-		dst[j+3] = d3
-	}
-	for ; j < n; j++ {
-		dst[j] = ((w1*r1[j] + w2*r2[j]) + w3*r3[j]) + w4*r4[j]
-	}
-}
-
 // F64MulAddSet writes the first weighted row of an accumulation: for every
 // lane j, dst[j] = w * row[j], overwriting dst. Equal to F64MulAdd on a
 // zeroed accumulator except for the sign of an exact-zero product (0 + x
@@ -219,90 +173,6 @@ func F64MulAdd2Set(dst, r1, r2 []float64, w1, w2 float64) {
 	}
 	for ; j < n; j++ {
 		dst[j] = w1*r1[j] + w2*r2[j]
-	}
-}
-
-// F32MulAddSet is F64MulAddSet in the float32 lane.
-func F32MulAddSet(dst, row []float32, w float32) {
-	n := len(dst)
-	row = row[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0 := w * row[j]
-		d1 := w * row[j+1]
-		d2 := w * row[j+2]
-		d3 := w * row[j+3]
-		dst[j] = d0
-		dst[j+1] = d1
-		dst[j+2] = d2
-		dst[j+3] = d3
-	}
-	for ; j < n; j++ {
-		dst[j] = w * row[j]
-	}
-}
-
-// F32MulAdd2Set is F64MulAdd2Set in the float32 lane.
-func F32MulAdd2Set(dst, r1, r2 []float32, w1, w2 float32) {
-	n := len(dst)
-	r1 = r1[:n]
-	r2 = r2[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0 := w1*r1[j] + w2*r2[j]
-		d1 := w1*r1[j+1] + w2*r2[j+1]
-		d2 := w1*r1[j+2] + w2*r2[j+2]
-		d3 := w1*r1[j+3] + w2*r2[j+3]
-		dst[j] = d0
-		dst[j+1] = d1
-		dst[j+2] = d2
-		dst[j+3] = d3
-	}
-	for ; j < n; j++ {
-		dst[j] = w1*r1[j] + w2*r2[j]
-	}
-}
-
-// F32MulAdd is F64MulAdd in the float32 lane: dst[j] += w * row[j] with
-// float32 multiply and add roundings.
-func F32MulAdd(dst, row []float32, w float32) {
-	n := len(dst)
-	row = row[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0 := dst[j] + w*row[j]
-		d1 := dst[j+1] + w*row[j+1]
-		d2 := dst[j+2] + w*row[j+2]
-		d3 := dst[j+3] + w*row[j+3]
-		dst[j] = d0
-		dst[j+1] = d1
-		dst[j+2] = d2
-		dst[j+3] = d3
-	}
-	for ; j < n; j++ {
-		dst[j] += w * row[j]
-	}
-}
-
-// F32MulAdd2 is F64MulAdd2 in the float32 lane:
-// dst[j] = (dst[j] + w1*r1[j]) + w2*r2[j] with float32 roundings.
-func F32MulAdd2(dst, r1, r2 []float32, w1, w2 float32) {
-	n := len(dst)
-	r1 = r1[:n]
-	r2 = r2[:n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		d0 := (dst[j] + w1*r1[j]) + w2*r2[j]
-		d1 := (dst[j+1] + w1*r1[j+1]) + w2*r2[j+1]
-		d2 := (dst[j+2] + w1*r1[j+2]) + w2*r2[j+2]
-		d3 := (dst[j+3] + w1*r1[j+3]) + w2*r2[j+3]
-		dst[j] = d0
-		dst[j+1] = d1
-		dst[j+2] = d2
-		dst[j+3] = d3
-	}
-	for ; j < n; j++ {
-		dst[j] = (dst[j] + w1*r1[j]) + w2*r2[j]
 	}
 }
 

@@ -253,87 +253,3 @@ func TestEnginePanelMatchesNaive(t *testing.T) {
 		}
 	}
 }
-
-// TestFloat32SigningConsistent pins the float32 lane's internal agreements:
-// the panel-streamed build must equal the fused build key for key, the batch
-// build must agree with single-vector hashing (Insert and KeyFor route
-// through signOne32), and InsertBatch must land vectors exactly where the
-// batch build would have.
-func TestFloat32SigningConsistent(t *testing.T) {
-	data := engineCorpus(240, 31)
-	f := NewSimHash(17)
-	for _, c := range []struct{ k, ell int }{{20, 1}, {12, 3}, {70, 1}} {
-		fused, err := BuildSigned(data, f, c.k, c.ell, SignConfig{Float32: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		panel, err := BuildSigned(data, f, c.k, c.ell, SignConfig{Float32: true, PanelBytes: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tb := 0; tb < c.ell; tb++ {
-			ft, pt := fused.Table(tb), panel.Table(tb)
-			for i, v := range data {
-				key := ft.KeyOf(i)
-				if pk := pt.KeyOf(i); pk != key {
-					t.Fatalf("k=%d ℓ=%d table %d vector %d: float32 panel key differs from fused", c.k, c.ell, tb, i)
-				}
-				if kf := fused.KeyFor(tb, v); kf != key {
-					t.Fatalf("k=%d ℓ=%d table %d vector %d: KeyFor %q != batch key %q", c.k, c.ell, tb, i, kf, key)
-				}
-			}
-		}
-	}
-
-	one, err := BuildSigned(data[:80], f, 6, 2, SignConfig{Float32: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := BuildSigned(data[:80], f, 6, 2, SignConfig{Float32: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range data[80:] {
-		one.Insert(v)
-	}
-	batch.InsertBatch(data[80:])
-	for tb := 0; tb < one.L(); tb++ {
-		ot, bt := one.Table(tb), batch.Table(tb)
-		for i := range data {
-			if ot.KeyOf(i) != bt.KeyOf(i) {
-				t.Fatalf("table %d vector %d: float32 batch key differs from single-insert key", tb, i)
-			}
-		}
-	}
-}
-
-// TestFloat32SignFlipRate bounds how often the float32 lane's sign decisions
-// diverge from float64: flips require a projection within float32 rounding
-// error of zero, so across thousands of (vector, function) pairs only a tiny
-// fraction may differ. A broken float32 path (wrong stream, wrong fold
-// order) flips ~50% and fails loudly.
-func TestFloat32SignFlipRate(t *testing.T) {
-	data := engineCorpus(500, 47)
-	f := NewSimHash(29)
-	const k = 20
-	vals32 := make([]uint64, k)
-	total, flips := 0, 0
-	for _, v := range data {
-		if len(v.Entries()) == 0 {
-			continue
-		}
-		signOne32(f, 0, k, v, vals32)
-		for j := 0; j < k; j++ {
-			total++
-			if vals32[j] != f.Hash(j, v) {
-				flips++
-			}
-		}
-	}
-	if total == 0 {
-		t.Fatal("empty corpus")
-	}
-	if rate := float64(flips) / float64(total); rate > 0.01 {
-		t.Fatalf("float32 sign flip rate %.4f (%d/%d), want ≤ 0.01", rate, flips, total)
-	}
-}

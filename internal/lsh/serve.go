@@ -25,6 +25,50 @@ func RouteVector(v vecmath.Vector, s int) int {
 	return jumpHash(contentKey(v), s)
 }
 
+// RouteBatch is the one routed ingest of the sharded layer, in process and
+// over the wire: it splits vs into per-shard runs by home shard among s
+// shards (one shard takes the batch unsplit), hands each non-empty run to
+// ingest in shard order, and assigns the group ids aligned with vs from
+// the first local id ingest reports per run. It stops at the first error.
+func RouteBatch(vs []vecmath.Vector, s int, ingest func(shard int, run []vecmath.Vector) (first int, err error)) ([]int64, error) {
+	if len(vs) == 0 {
+		return nil, nil
+	}
+	ids := make([]int64, len(vs))
+	if s == 1 {
+		first, err := ingest(0, vs)
+		if err != nil {
+			return nil, err
+		}
+		for i := range ids {
+			ids[i] = int64(first + i)
+		}
+		return ids, nil
+	}
+	runs := make([][]vecmath.Vector, s)
+	home := make([]int, len(vs))
+	for i, v := range vs {
+		home[i] = RouteVector(v, s)
+		runs[home[i]] = append(runs[home[i]], v)
+	}
+	next := make([]int, s)
+	for sh, run := range runs {
+		if len(run) == 0 {
+			continue
+		}
+		first, err := ingest(sh, run)
+		if err != nil {
+			return nil, err
+		}
+		next[sh] = first
+	}
+	for i, sh := range home {
+		ids[i] = GroupID(sh, next[sh])
+		next[sh]++
+	}
+	return ids, nil
+}
+
 // NewEmptyIndex constructs a writable zero-vector Index (version 1, empty
 // tables) — the starting state of a shard server, which unlike Build begins
 // with no corpus and grows through streamed ingest.

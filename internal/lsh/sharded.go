@@ -215,33 +215,9 @@ func (g *ShardGroup) Insert(v vecmath.Vector) int64 {
 // per-shard runs (each through the batched signature engine), and returns the
 // per-vector group ids aligned with vs.
 func (g *ShardGroup) InsertBatch(vs []vecmath.Vector) []int64 {
-	ids := make([]int64, len(vs))
-	if len(g.shards) == 1 {
-		first := g.shards[0].InsertBatch(vs)
-		for i := range ids {
-			ids[i] = int64(first + i)
-		}
-		return ids
-	}
-	parts := make([][]vecmath.Vector, len(g.shards))
-	home := make([]int, len(vs))
-	for i, v := range vs {
-		s := g.Route(v)
-		home[i] = s
-		parts[s] = append(parts[s], v)
-	}
-	first := make([]int, len(g.shards))
-	for s, part := range parts {
-		if len(part) > 0 {
-			first[s] = g.shards[s].InsertBatch(part)
-		}
-	}
-	next := first
-	for i := range vs {
-		s := home[i]
-		ids[i] = GroupID(s, next[s])
-		next[s]++
-	}
+	ids, _ := RouteBatch(vs, len(g.shards), func(s int, run []vecmath.Vector) (int, error) {
+		return g.shards[s].InsertBatch(run), nil // in-process ingest cannot fail
+	})
 	return ids
 }
 

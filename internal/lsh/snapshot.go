@@ -23,7 +23,7 @@ type Snapshot struct {
 	family  Family
 	k, ell  int
 	narrow  bool
-	sign    SignConfig // how this index signs vectors; zero = default lane
+	sign    SignConfig // how this index signs insert batches; zero = default
 	data    []vecmath.Vector
 	tables  []*Table
 
@@ -59,17 +59,8 @@ func (s *Snapshot) Table(t int) *Table { return s.tables[t] }
 // Tables returns all ℓ tables.
 func (s *Snapshot) Tables() []*Table { return s.tables }
 
-// hashInto fills vals with the k hash values of v for table t, in the lane
-// the index was signed with: indexes built in the float32 lane hash single
-// vectors through the float32 accumulation path so inserts and lookups agree
-// with the batch build bit for bit.
+// hashInto fills vals with the k hash values of v for table t.
 func (s *Snapshot) hashInto(t int, v vecmath.Vector, vals []uint64) {
-	if s.sign.Float32 {
-		if f, ok := s.family.(SimHash); ok {
-			signOne32(f, t*s.k, s.k, v, vals)
-			return
-		}
-	}
 	base := t * s.k
 	for j := 0; j < s.k; j++ {
 		vals[j] = s.family.Hash(base+j, v)

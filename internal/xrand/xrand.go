@@ -431,28 +431,6 @@ func gaussTail(hv uint64) float64 {
 	return InvNormCDF(u)
 }
 
-// FillGaussRow32 is FillGaussRow truncated to float32 — the projection
-// cache's float32 lane. Each value is float32(streams[f].At(dim)): the keyed
-// stream stays float64 end to end and only the stored component narrows.
-func FillGaussRow32(dst []float32, streams []GaussStream, dim uint64) {
-	m := dim * 0xA0761D6478BD642F
-	n := len(dst)
-	streams = streams[:n]
-	const fracMask = 1<<42 - 1
-	for f := 0; f < n; f++ {
-		hv := Mix64(streams[f].pre^m) >> 11
-		b := hv >> 52
-		mu := hv<<1 + 1 - b + (b&hv&1)<<1
-		slot := int(mu >> 42)
-		if slot < invNormTailSlots || slot >= invNormSlots-invNormTailSlots {
-			dst[f] = float32(gaussTail(hv))
-			continue
-		}
-		e := &invNormTab[slot]
-		dst[f] = float32(e[0] + float64(mu&fracMask)*(0x1p-42)*e[1])
-	}
-}
-
 // fillGaussRowsPrep is FillGaussRows split into three passes over blocks of
 // rows: one vector kernel computes every lane's hash and exact half-unit slot
 // value (pure integer work, four wide), a second does the table interpolation
@@ -499,29 +477,6 @@ func fillGaussRowsPrep(dst []float64, streams []GaussStream, dims []uint32) {
 					m &= m - 1
 				}
 			}
-		}
-	}
-}
-
-// FillGaussRows32 is FillGaussRows in the float32 lane: row r covers
-// dst[r*k : (r+1)*k] with float32(streams[f].At(dims[r])).
-func FillGaussRows32(dst []float32, streams []GaussStream, dims []uint32) {
-	k := len(streams)
-	const fracMask = 1<<42 - 1
-	for r, d := range dims {
-		m := uint64(d) * 0xA0761D6478BD642F
-		row := dst[r*k : r*k+k : r*k+k]
-		for f := 0; f < k; f++ {
-			hv := Mix64(streams[f].pre^m) >> 11
-			b := hv >> 52
-			mu := hv<<1 + 1 - b + (b&hv&1)<<1
-			slot := int(mu >> 42)
-			if slot < invNormTailSlots || slot >= invNormSlots-invNormTailSlots {
-				row[f] = float32(gaussTail(hv))
-				continue
-			}
-			e := &invNormTab[slot]
-			row[f] = float32(e[0] + float64(mu&fracMask)*(0x1p-42)*e[1])
 		}
 	}
 }

@@ -293,9 +293,9 @@ func BenchmarkZipfSample(b *testing.B) {
 }
 
 // TestRowFillsMatchAt pins the batched row fills to the per-stream At loop:
-// for random (seed, fn-count, dim) triples, FillGaussRow / FillGaussRow32 /
-// FillHashRow must reproduce streams[f].At(dim) bit for bit at every length
-// the 4-wide unroll can take.
+// for random (seed, fn-count, dim) triples, FillGaussRow / FillHashRow must
+// reproduce streams[f].At(dim) bit for bit at every length the 4-wide
+// unroll can take.
 func TestRowFillsMatchAt(t *testing.T) {
 	rng := New(99)
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 20, 33, 160} {
@@ -307,20 +307,15 @@ func TestRowFillsMatchAt(t *testing.T) {
 			hs[f] = NewHashStream(seed, uint64(f))
 		}
 		g64 := make([]float64, n)
-		g32 := make([]float32, n)
 		h64 := make([]uint64, n)
 		for rep := 0; rep < 16; rep++ {
 			dim := rng.Uint64() >> uint(rep%33)
 			FillGaussRow(g64, gs, dim)
-			FillGaussRow32(g32, gs, dim)
 			FillHashRow(h64, hs, dim)
 			for f := 0; f < n; f++ {
 				want := gs[f].At(dim)
 				if math.Float64bits(g64[f]) != math.Float64bits(want) {
 					t.Fatalf("FillGaussRow n=%d f=%d dim=%d: %v != %v", n, f, dim, g64[f], want)
-				}
-				if math.Float32bits(g32[f]) != math.Float32bits(float32(want)) {
-					t.Fatalf("FillGaussRow32 n=%d f=%d dim=%d: %v != %v", n, f, dim, g32[f], float32(want))
 				}
 				if h64[f] != hs[f].At(dim) {
 					t.Fatalf("FillHashRow n=%d f=%d dim=%d: %d != %d", n, f, dim, h64[f], hs[f].At(dim))
@@ -358,10 +353,10 @@ func BenchmarkGaussRowAtLoop(b *testing.B) {
 	}
 }
 
-// TestBatchedRowsMatchRowFill pins FillGaussRows / FillGaussRows32 to the
-// per-row fills bit for bit, across widths that do and don't qualify for the
-// vector prep kernel and across enough rows to cover several scratch blocks
-// (including a final partial one, which must not inherit stale tail flags).
+// TestBatchedRowsMatchRowFill pins FillGaussRows to the per-row fill bit for
+// bit, across widths that do and don't qualify for the vector prep kernel
+// and across enough rows to cover several scratch blocks (including a final
+// partial one, which must not inherit stale tail flags).
 func TestBatchedRowsMatchRowFill(t *testing.T) {
 	rng := New(7)
 	for _, k := range []int{4, 5, 7, 20} {
@@ -377,21 +372,13 @@ func TestBatchedRowsMatchRowFill(t *testing.T) {
 			}
 			got := make([]float64, rows*k)
 			FillGaussRows(got, gs, dims)
-			got32 := make([]float32, rows*k)
-			FillGaussRows32(got32, gs, dims)
 			want := make([]float64, k)
-			want32 := make([]float32, k)
 			for r, d := range dims {
 				FillGaussRow(want, gs, uint64(d))
-				FillGaussRow32(want32, gs, uint64(d))
 				for f := 0; f < k; f++ {
 					if math.Float64bits(got[r*k+f]) != math.Float64bits(want[f]) {
 						t.Fatalf("FillGaussRows k=%d rows=%d r=%d f=%d dim=%d: %x != %x",
 							k, rows, r, f, d, math.Float64bits(got[r*k+f]), math.Float64bits(want[f]))
-					}
-					if math.Float32bits(got32[r*k+f]) != math.Float32bits(want32[f]) {
-						t.Fatalf("FillGaussRows32 k=%d rows=%d r=%d f=%d dim=%d: %x != %x",
-							k, rows, r, f, d, math.Float32bits(got32[r*k+f]), math.Float32bits(want32[f]))
 					}
 				}
 			}

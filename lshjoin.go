@@ -3,16 +3,12 @@ package lshjoin
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"lshjoin/internal/core"
-	"lshjoin/internal/exactjoin"
 	"lshjoin/internal/faultfs"
 	"lshjoin/internal/lsh"
 	"lshjoin/internal/lsh/persist"
 	"lshjoin/internal/vecmath"
-	"lshjoin/internal/xrand"
 )
 
 // Vector is a sparse real-valued vector (sorted non-zero entries).
@@ -89,15 +85,6 @@ type Options struct {
 	// writes a checkpoint. 0 keeps the store default (4 MiB); negative is
 	// rejected. In-memory collections ignore it.
 	CheckpointBytes int
-	// Float32Signing switches cosine batch builds (and the single-vector
-	// hashing that must agree with them) to the float32 projection lane:
-	// half the signing cache footprint and memory bandwidth, at the cost of
-	// occasional sign flips on near-orthogonal projections. The resulting
-	// signatures are different — not worse — than the float64 lane's, so
-	// the flag changes bucket contents while estimator guarantees hold
-	// unchanged. Jaccard collections ignore it (MinHash is an integer
-	// pipeline), and durable collections (Dir set) reject it for now.
-	Float32Signing bool
 	// SignPanelBytes caps the resident projection cache of a batch build.
 	// When the fused dimension-major cache would exceed the budget, signing
 	// streams the vocabulary in dimension-block panels and produces output
@@ -144,21 +131,8 @@ func familyFor(opt Options) (lsh.Family, core.SimFunc, error) {
 // arrive after it was built; construct a new estimator to observe newer
 // data.
 type Collection struct {
-	opt    Options
-	family lsh.Family
-	sim    core.SimFunc
-	index  *lsh.Index
-
-	// Durable backing (nil for in-memory collections); closed flips once.
-	store  *persist.Store
-	closed atomic.Bool
-
-	seedCtr atomic.Uint64
-
-	// The exact joiner is rebuilt lazily whenever the index version moved.
-	joinerMu  sync.Mutex
-	joiner    *exactjoin.Joiner
-	joinerVer uint64
+	*front
+	local *localSource // one shard: the single index, and its store if durable
 }
 
 // New indexes the vectors. The collection keeps a reference to the slice;
@@ -166,14 +140,7 @@ type Collection struct {
 // store is created there (ErrStoreExists if one already is) and every
 // published version persists across restarts; reopen with Open.
 func New(vectors []Vector, opt Options) (*Collection, error) {
-	opt, err := opt.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if len(vectors) < 2 {
-		return nil, fmt.Errorf("lshjoin: need at least 2 vectors, got %d", len(vectors))
-	}
-	family, sim, err := familyFor(opt)
+	opt, family, err := corpusOptions(vectors, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -181,29 +148,51 @@ func New(vectors []Vector, opt Options) (*Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lshjoin: %w", err)
 	}
-	c := &Collection{
-		opt:    opt,
-		family: family,
-		sim:    sim,
-		index:  index,
-	}
+	var stores []*persist.Store
 	if opt.Dir != "" {
-		if c.store, err = persist.Create(faultfs.OS{}, opt.Dir, index); err != nil {
+		st, err := persist.Create(faultfs.OS{}, opt.Dir, index)
+		if err != nil {
 			return nil, fmt.Errorf("lshjoin: %w", err)
 		}
-		applyStorePolicy(opt, c.store)
+		stores = []*persist.Store{st}
 	}
-	return c, nil
+	return newCollection(opt, index, stores)
 }
 
-// snap publishes any pending inserts and returns the latest immutable view.
-func (c *Collection) snap() *lsh.Snapshot { return c.index.Snapshot() }
+// corpusOptions normalizes opt for a constructor indexing vectors, which
+// needs at least two of them, and resolves the hash family.
+func corpusOptions(vectors []Vector, opt Options) (Options, lsh.Family, error) {
+	opt, err := opt.normalized()
+	if err != nil {
+		return opt, nil, err
+	}
+	if len(vectors) < 2 {
+		return opt, nil, fmt.Errorf("lshjoin: need at least 2 vectors, got %d", len(vectors))
+	}
+	family, _, err := familyFor(opt)
+	return opt, family, err
+}
+
+// newCollection serves one index, and its store when durable, as the
+// single-shard case of the shared read path.
+func newCollection(opt Options, index *lsh.Index, stores []*persist.Store) (*Collection, error) {
+	g, err := lsh.NewShardGroupFromIndexes(index.Family(), index.K(), index.L(), []*lsh.Index{index})
+	if err != nil {
+		return nil, fmt.Errorf("lshjoin: %w", err)
+	}
+	local := newLocalSource(opt, g, stores)
+	f, err := newFront(opt, g.Family(), local)
+	if err != nil {
+		return nil, err
+	}
+	return &Collection{front: f, local: local}, nil
+}
 
 // N returns the number of vectors (including all completed Inserts).
-func (c *Collection) N() int { return c.snap().N() }
+func (c *Collection) N() int { return must(c.n()) }
 
 // Vector returns vector i.
-func (c *Collection) Vector(i int) Vector { return c.snap().Data()[i] }
+func (c *Collection) Vector(i int) Vector { return must(c.vector(i)) }
 
 // K returns the per-table hash function count.
 func (c *Collection) K() int { return c.opt.K }
@@ -213,27 +202,26 @@ func (c *Collection) Tables() int { return c.opt.Tables }
 
 // IndexBytes estimates the LSH index size using the paper's §6.3 accounting
 // (g values, bucket counts, vector ids).
-func (c *Collection) IndexBytes() int64 { return c.snap().SizeBytes() }
+func (c *Collection) IndexBytes() int64 { return must(c.indexBytes()) }
 
 // PairsSharingBucket returns N_H of table 0: the number of vector pairs
 // co-located in some bucket — the quantity the extended LSH index maintains.
-func (c *Collection) PairsSharingBucket() int64 { return c.snap().Table(0).NH() }
+func (c *Collection) PairsSharingBucket() int64 { return must(c.pairsSharingBucket()) }
 
 // Version returns the collection's publish version: it increments every
 // time inserts become visible to new readers (1 for a fresh collection).
-func (c *Collection) Version() uint64 { return c.snap().Version() }
+func (c *Collection) Version() uint64 { return must(c.version()) }
+
+// Estimator constructs the requested algorithm over this collection.
+func (c *Collection) Estimator(algo Algorithm, opts ...EstimatorOption) (Estimator, error) {
+	return c.estimator(algo, opts)
+}
 
 // EstimateJoinSize estimates |{(u,v): sim(u,v) ≥ tau, u ≠ v}| with LSH-SS
 // under the paper's default parameters (m_H = m_L = n, δ = log₂ n, safe
 // lower bound). Each call draws fresh randomness; use Estimator for
 // reproducible or repeated estimation.
-func (c *Collection) EstimateJoinSize(tau float64) (float64, error) {
-	est, err := c.Estimator(AlgoLSHSS)
-	if err != nil {
-		return 0, err
-	}
-	return est.Estimate(tau)
-}
+func (c *Collection) EstimateJoinSize(tau float64) (float64, error) { return c.estimateJoinSize(tau) }
 
 // Insert adds a vector to the collection and its LSH index (ℓ·k hash
 // evaluations; bucket counts and N_H stay exact), returning the vector's
@@ -243,31 +231,13 @@ func (c *Collection) EstimateJoinSize(tau float64) (float64, error) {
 // inserts. With Options.PublishEvery set, Insert also publishes once the
 // pending delta reaches the policy size, so lock-free readers observe fresh
 // versions without issuing reads of their own.
-func (c *Collection) Insert(v Vector) int {
-	id := c.index.Insert(v)
-	c.maybePublish()
-	return id
-}
+func (c *Collection) Insert(v Vector) int { return must(c.local.ingest(0, []Vector{v})) }
 
 // InsertBatch inserts vectors in order and returns the id of the first.
 // The batch is signed through the batched signature engine, so bulk loading
 // costs far less than repeated Inserts, and readers observe the whole batch
 // atomically at the next read (or immediately, under Options.PublishEvery).
-func (c *Collection) InsertBatch(vs []Vector) int {
-	first := c.index.InsertBatch(vs)
-	c.maybePublish()
-	return first
-}
-
-// maybePublish applies the size-based publication policy: cut a new version
-// as soon as the pending delta reaches PublishEvery vectors. The pending
-// count is re-checked inside Snapshot under the writer lock, so concurrent
-// inserts publish each delta exactly once.
-func (c *Collection) maybePublish() {
-	if p := c.opt.PublishEvery; p > 0 && c.index.Pending() >= p {
-		c.index.Snapshot()
-	}
-}
+func (c *Collection) InsertBatch(vs []Vector) int { return must(c.local.ingest(0, vs)) }
 
 // EstimateJoinSizeCurve estimates the whole selectivity curve J(τ) for a
 // grid of thresholds from one shared LSH-SS sampling pass — what an
@@ -275,41 +245,12 @@ func (c *Collection) maybePublish() {
 // wants. The result aligns with taus and is monotone non-increasing after
 // sorting taus ascending.
 func (c *Collection) EstimateJoinSizeCurve(taus []float64) ([]float64, error) {
-	inner, err := core.NewLSHSS(c.snap(), c.sim)
-	if err != nil {
-		return nil, err
-	}
-	return inner.EstimateCurve(taus, xrand.New(c.nextSeed()))
-}
-
-// exactJoiner returns the inverted-index joiner for the current version,
-// rebuilding it only when inserts have been published since the last call.
-func (c *Collection) exactJoiner() (*exactjoin.Joiner, *lsh.Snapshot) {
-	s := c.snap()
-	c.joinerMu.Lock()
-	defer c.joinerMu.Unlock()
-	if c.joiner != nil && c.joinerVer == s.Version() {
-		return c.joiner, s
-	}
-	j := exactjoin.NewJoiner(s.Data())
-	// Only move the cache forward: a reader that raced publication and holds
-	// an older version gets a correct one-off joiner without evicting the
-	// newer cached one (no rebuild ping-pong between concurrent readers).
-	if c.joiner == nil || s.Version() > c.joinerVer {
-		c.joiner, c.joinerVer = j, s.Version()
-	}
-	return j, s
+	return c.estimateJoinSizeCurve(taus)
 }
 
 // ExactJoinSize computes the true join size with the inverted-index exact
 // joiner — O(Σ df²), for ground truth and small-to-medium collections.
-func (c *Collection) ExactJoinSize(tau float64) (int64, error) {
-	if c.opt.Measure != CosineSimilarity {
-		return bruteCount(c.snap().Data(), c.sim, tau)
-	}
-	j, _ := c.exactJoiner()
-	return j.CountAt(tau)
-}
+func (c *Collection) ExactJoinSize(tau float64) (int64, error) { return c.exactJoinSize(tau) }
 
 // bruteJoin calls emit for every pair i < j of data with sim ≥ tau, in
 // lexicographic order: the measure-agnostic exact join (O(n²) similarity
@@ -346,40 +287,10 @@ type JoinPair struct {
 // collections use the All-Pairs prefix-filtered joiner; other measures fall
 // back to the brute-force pair scan (O(n²) similarity evaluations), so the
 // API is complete across measures.
-func (c *Collection) JoinPairs(tau float64) ([]JoinPair, error) {
-	if c.opt.Measure != CosineSimilarity {
-		var out []JoinPair
-		err := bruteJoin(c.snap().Data(), c.sim, tau, func(i, j int, s float64) {
-			out = append(out, JoinPair{U: i, V: j, Sim: s})
-		})
-		return out, err
-	}
-	j, _ := c.exactJoiner()
-	raw, err := j.Pairs(tau)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]JoinPair, len(raw))
-	for i, p := range raw {
-		out[i] = JoinPair{U: int(p.U), V: int(p.V), Sim: p.Sim}
-	}
-	return out, nil
-}
+func (c *Collection) JoinPairs(tau float64) ([]JoinPair, error) { return c.joinPairs(tau) }
 
 // SearchSimilar returns indices of indexed vectors with sim(v, ·) ≥ tau
 // among the LSH candidates of v — approximate search with the usual LSH
 // false-negative caveat. The search runs lock-free against the latest
 // published version.
-func (c *Collection) SearchSimilar(v Vector, tau float64) []int {
-	ids := c.snap().Search(v, tau)
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}
-
-// nextSeed derives a fresh deterministic seed for estimator construction.
-func (c *Collection) nextSeed() uint64 {
-	return xrand.Mix2(c.opt.Seed^0xE57AB1E, c.seedCtr.Add(1))
-}
+func (c *Collection) SearchSimilar(v Vector, tau float64) []int { return must(c.searchSimilar(v, tau)) }

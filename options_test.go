@@ -50,24 +50,6 @@ func TestInvalidOptionsConstructorSpecific(t *testing.T) {
 	if _, err := NewCrossJoin(left, right, Options{Tables: 2}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("cross join with Tables=2: got %v, want ErrInvalidOptions", err)
 	}
-	if _, err := New(vecs, Options{Dir: t.TempDir(), Float32Signing: true}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("durable collection with Float32Signing: got %v, want ErrInvalidOptions", err)
-	}
-	// The same Dir-dependent rejection must fire on the durable cross-join
-	// path (NewCrossJoin accepts Dir since cross joins became durable) and on
-	// every opener, where Dir arrives as an argument rather than an option.
-	if _, err := NewCrossJoin(left, right, Options{Dir: t.TempDir(), Float32Signing: true}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("durable cross join with Float32Signing: got %v, want ErrInvalidOptions", err)
-	}
-	if _, err := Open(t.TempDir(), Options{Float32Signing: true}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("Open with Float32Signing: got %v, want ErrInvalidOptions", err)
-	}
-	if _, err := OpenSharded(t.TempDir(), Options{Float32Signing: true}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("OpenSharded with Float32Signing: got %v, want ErrInvalidOptions", err)
-	}
-	if _, err := OpenCrossJoin(t.TempDir(), Options{Float32Signing: true}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("OpenCrossJoin with Float32Signing: got %v, want ErrInvalidOptions", err)
-	}
 }
 
 // Valid options keep working through the shared validation path.
@@ -79,7 +61,7 @@ func TestValidOptionsStillAccepted(t *testing.T) {
 	if _, err := NewSharded(vecs, Options{Shards: 3, Measure: JaccardSimilarity}); err != nil {
 		t.Fatalf("NewSharded rejected valid options: %v", err)
 	}
-	if _, err := New(vecs, Options{Float32Signing: true, SignPanelBytes: 1 << 12}); err != nil {
-		t.Fatalf("New rejected float32 panel-streamed signing: %v", err)
+	if _, err := New(vecs, Options{SignPanelBytes: 1 << 12}); err != nil {
+		t.Fatalf("New rejected panel-streamed signing: %v", err)
 	}
 }

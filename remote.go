@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lshjoin/internal/core"
-	"lshjoin/internal/exactjoin"
 	"lshjoin/internal/lsh"
 	"lshjoin/internal/lsh/persist"
 	"lshjoin/internal/shardrpc"
@@ -88,15 +86,19 @@ func WithRetryPolicy(retries int, backoff time.Duration) RemoteOption {
 // no partial estimates over a subset of shards. All methods are safe for
 // unsynchronized concurrent use.
 type RemoteCollection struct {
-	opt     Options
+	*front
+	remote *remoteSource
+	closed atomic.Bool
+}
+
+// remoteSource is the coordinator's source: one client per shard server
+// and the coordinator's copy of each shard, checked against the hashing
+// identity (family, k, ℓ) the handshake agreed on.
+type remoteSource struct {
 	family  lsh.Family
-	sim     core.SimFunc
+	k, ell  int
 	clients []*shardrpc.Client
-	closed  atomic.Bool
-
-	seedCtr atomic.Uint64
-
-	shards []remoteShard
+	copies  []remoteShard
 }
 
 // remoteShard is the coordinator's copy of one shard: the index mirrored
@@ -113,10 +115,9 @@ type remoteShard struct {
 // follow the adopt-or-assert rule of Open: hashing fields (K, Tables, Seed,
 // Measure) left zero adopt the servers' values, non-zero fields are
 // assertions that must match every server (ErrInvalidOptions otherwise).
-// Shards, if set, must equal len(addrs). Dir and Float32Signing are
-// rejected — a remote collection has no local store, and the float32
-// signing lane does not travel with snapshots. All servers must share one
-// hashing identity; a mismatch reports ErrInvalidOptions naming the shard.
+// Shards, if set, must equal len(addrs). Dir is rejected — a remote
+// collection has no local store. All servers must share one hashing
+// identity; a mismatch reports ErrInvalidOptions naming the shard.
 func Connect(addrs []string, opt Options, ropts ...RemoteOption) (*RemoteCollection, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("%w: Connect needs at least one shard address", ErrInvalidOptions)
@@ -133,9 +134,6 @@ func Connect(addrs []string, opt Options, ropts ...RemoteOption) (*RemoteCollect
 	}
 	if opt.Dir != "" {
 		return nil, fmt.Errorf("%w: Dir is not supported on a remote collection (durability lives on the shard servers)", ErrInvalidOptions)
-	}
-	if opt.Float32Signing {
-		return nil, fmt.Errorf("%w: Float32Signing is not supported on a remote collection (the signing lane does not travel with snapshots)", ErrInvalidOptions)
 	}
 	if opt.Shards != 0 && opt.Shards != len(addrs) {
 		return nil, fmt.Errorf("%w: Shards = %d but %d shard addresses were given", ErrInvalidOptions, opt.Shards, len(addrs))
@@ -166,56 +164,22 @@ func Connect(addrs []string, opt Options, ropts ...RemoteOption) (*RemoteCollect
 				ErrInvalidOptions, s, c.Addr(), h.Family, h.K, h.Ell, h0.Family, h0.K, h0.Ell)
 		}
 	}
-	if opt, err = adoptHello(opt, h0, len(addrs)); err != nil {
+	if opt, err = adopt(opt, "the shard servers", ErrShardProtocol, h0.Family, h0.K, h0.Ell, len(addrs)); err != nil {
 		closeAll()
 		return nil, err
 	}
-	family, sim, err := familyFor(opt)
+	family, _, err := familyFor(opt)
 	if err != nil {
 		closeAll()
 		return nil, err
 	}
-	return &RemoteCollection{
-		opt:     opt,
-		family:  family,
-		sim:     sim,
-		clients: clients,
-		shards:  make([]remoteShard, len(addrs)),
-	}, nil
-}
-
-// adoptHello folds the servers' hashing identity into opt under the
-// adopt-or-assert rule (the network analogue of the store reconcile).
-func adoptHello(opt Options, h shardrpc.Hello, shards int) (Options, error) {
-	measure, err := measureOfSpec(h.Family)
+	remote := &remoteSource{family: family, k: opt.K, ell: opt.Tables, clients: clients, copies: make([]remoteShard, len(addrs))}
+	f, err := newFront(opt, family, remote)
 	if err != nil {
-		return opt, err
+		closeAll()
+		return nil, err
 	}
-	if opt.K != 0 && opt.K != h.K {
-		return opt, fmt.Errorf("%w: K = %d but the shard servers hash with K = %d", ErrInvalidOptions, opt.K, h.K)
-	}
-	if opt.Tables != 0 && opt.Tables != h.Ell {
-		return opt, fmt.Errorf("%w: Tables = %d but the shard servers hash with %d", ErrInvalidOptions, opt.Tables, h.Ell)
-	}
-	if opt.Seed != 0 && opt.Seed != h.Family.Seed {
-		return opt, fmt.Errorf("%w: Seed = %d but the shard servers hash with %d", ErrInvalidOptions, opt.Seed, h.Family.Seed)
-	}
-	if opt.Measure != measure && opt.Measure != CosineSimilarity {
-		return opt, fmt.Errorf("%w: Measure conflicts with the shard servers' hash family %q", ErrInvalidOptions, h.Family.Name)
-	}
-	opt.K, opt.Tables, opt.Seed, opt.Measure, opt.Shards = h.K, h.Ell, h.Family.Seed, measure, shards
-	return opt, nil
-}
-
-// measureOfSpec maps a served family spec back to the public Measure.
-func measureOfSpec(spec lsh.FamilySpec) (Measure, error) {
-	switch spec.Name {
-	case "simhash":
-		return CosineSimilarity, nil
-	case "minhash":
-		return JaccardSimilarity, nil
-	}
-	return 0, fmt.Errorf("lshjoin: shard servers hash with unsupported family %q: %w", spec.Name, ErrShardProtocol)
+	return &RemoteCollection{front: f, remote: remote}, nil
 }
 
 // Close closes every shard connection. The shard servers themselves — and
@@ -225,7 +189,7 @@ func (c *RemoteCollection) Close() error {
 		return nil
 	}
 	var first error
-	for _, cl := range c.clients {
+	for _, cl := range c.remote.clients {
 		if err := cl.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -234,7 +198,7 @@ func (c *RemoteCollection) Close() error {
 }
 
 // Shards returns the shard count S (one per address).
-func (c *RemoteCollection) Shards() int { return len(c.clients) }
+func (c *RemoteCollection) Shards() int { return c.remote.shards() }
 
 // K returns the per-table hash function count.
 func (c *RemoteCollection) K() int { return c.opt.K }
@@ -243,10 +207,7 @@ func (c *RemoteCollection) K() int { return c.opt.K }
 func (c *RemoteCollection) Tables() int { return c.opt.Tables }
 
 // ShardOf returns the home shard encoded in a vector id returned by Insert.
-func (c *RemoteCollection) ShardOf(id int) int {
-	s, _ := lsh.SplitGroupID(int64(id))
-	return s
-}
+func (c *RemoteCollection) ShardOf(id int) int { return shardOf(id) }
 
 // fetchShard brings shard s's copy up to the server's current state and
 // returns its snapshot. Under the server epoch the copy was fetched in, an
@@ -257,8 +218,8 @@ func (c *RemoteCollection) ShardOf(id int) int {
 // the copy only moves along the server's history. A delta that leaves the
 // copy disagreeing with the server's n or per-table N_H — or any other
 // protocol violation — drops the copy, so the next read refetches in full.
-func (c *RemoteCollection) fetchShard(s int) (*lsh.Snapshot, error) {
-	sh := &c.shards[s]
+func (c *remoteSource) fetchShard(s int) (*lsh.Snapshot, error) {
+	sh := &c.copies[s]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	snap, err := c.applyFetch(s, sh)
@@ -269,7 +230,7 @@ func (c *RemoteCollection) fetchShard(s int) (*lsh.Snapshot, error) {
 }
 
 // applyFetch performs fetchShard's exchange and apply. Callers hold sh.mu.
-func (c *RemoteCollection) applyFetch(s int, sh *remoteShard) (*lsh.Snapshot, error) {
+func (c *remoteSource) applyFetch(s int, sh *remoteShard) (*lsh.Snapshot, error) {
 	var have *lsh.Snapshot
 	var haveVer uint64
 	haveN := 0
@@ -313,7 +274,7 @@ func (c *RemoteCollection) applyFetch(s int, sh *remoteShard) (*lsh.Snapshot, er
 	if snap.Version() != f.Version {
 		return nil, fmt.Errorf("snapshot blob carries version %d, response header %d: %w", snap.Version(), f.Version, ErrShardProtocol)
 	}
-	if snap.Family() != c.family || snap.K() != c.opt.K || snap.L() != c.opt.Tables {
+	if snap.Family() != c.family || snap.K() != c.k || snap.L() != c.ell {
 		return nil, fmt.Errorf("snapshot blob hashes with a different identity: %w", ErrShardProtocol)
 	}
 	sh.idx, sh.epoch = idx, f.Epoch
@@ -324,7 +285,7 @@ func (c *RemoteCollection) applyFetch(s int, sh *remoteShard) (*lsh.Snapshot, er
 // of ShardGroup.Capture. Shards are fetched in parallel; unchanged shards
 // cost one not-modified round trip, grown ones a delta. Any shard failing
 // fails the capture with that shard's typed error.
-func (c *RemoteCollection) capture() (*lsh.GroupSnapshot, error) {
+func (c *remoteSource) capture() (*lsh.GroupSnapshot, error) {
 	S := len(c.clients)
 	snaps := make([]*lsh.Snapshot, S)
 	errs := make([]error, S)
@@ -349,138 +310,53 @@ func (c *RemoteCollection) capture() (*lsh.GroupSnapshot, error) {
 	return gs, nil
 }
 
+func (c *remoteSource) shards() int { return len(c.clients) }
+
+// ingest streams vs to shard s; ingest is not replayed after a failure
+// that may have reached the server.
+func (c *remoteSource) ingest(s int, vs []Vector) (int, error) {
+	first, _, err := c.clients[s].Ingest(vs)
+	if err != nil {
+		return 0, fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.clients[s].Addr(), err)
+	}
+	return first, nil
+}
+
 // N returns the total vector count across shards (including every
 // acknowledged Insert).
-func (c *RemoteCollection) N() (int, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return 0, err
-	}
-	return gs.N(), nil
-}
+func (c *RemoteCollection) N() (int, error) { return c.n() }
 
 // Version returns the summed per-shard publish version, as
 // ShardedCollection.Version does. For the vector itself see ShardVersions.
-func (c *RemoteCollection) Version() (uint64, error) {
-	vers, err := c.ShardVersions()
-	if err != nil {
-		return 0, err
-	}
-	var v uint64
-	for _, sv := range vers {
-		v += sv
-	}
-	//vsjlint:ignore versiondominance monotone change counter per its doc; dominance callers use ShardVersions
-	return v, nil
-}
+func (c *RemoteCollection) Version() (uint64, error) { return c.version() }
 
 // ShardVersions returns the per-shard publish versions of the latest
 // captured shard-snapshot vector.
-func (c *RemoteCollection) ShardVersions() ([]uint64, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return nil, err
-	}
-	return gs.Versions(), nil
-}
+func (c *RemoteCollection) ShardVersions() ([]uint64, error) { return c.shardVersions() }
 
 // IndexBytes estimates the total LSH index size across shards using the
 // paper's §6.3 accounting.
-func (c *RemoteCollection) IndexBytes() (int64, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return 0, err
-	}
-	return gs.SizeBytes(), nil
-}
+func (c *RemoteCollection) IndexBytes() (int64, error) { return c.indexBytes() }
 
 // PairsSharingBucket returns the merged N_H of table 0 — per-shard intra
 // counts plus cross-shard bipartite counts, exactly the N_H a single index
 // over the union corpus would maintain.
-func (c *RemoteCollection) PairsSharingBucket() (int64, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return 0, err
-	}
-	ms, err := core.NewMergedStratum(gs, 0)
-	if err != nil {
-		return 0, fmt.Errorf("lshjoin: %w", err)
-	}
-	return ms.NH(), nil
-}
+func (c *RemoteCollection) PairsSharingBucket() (int64, error) { return c.pairsSharingBucket() }
 
 // Vector returns the vector with the given id (as returned by Insert).
-func (c *RemoteCollection) Vector(id int) (Vector, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return Vector{}, err
-	}
-	s, local := lsh.SplitGroupID(int64(id))
-	if s < 0 || s >= gs.S() || local < 0 || local >= gs.Snap(s).N() {
-		return Vector{}, fmt.Errorf("lshjoin: no vector with id %d", id)
-	}
-	return gs.Snap(s).Data()[local], nil
-}
+func (c *RemoteCollection) Vector(id int) (Vector, error) { return c.vector(id) }
 
 // Insert routes v to its home shard — the same pure content-key routing an
 // in-process ShardedCollection uses — and streams it there, returning the
 // shard-encoded vector id. Inserts are not replayed after transient
 // failures that may have reached the server; on error the caller knows the
 // insert may or may not have been applied.
-func (c *RemoteCollection) Insert(v Vector) (int, error) {
-	s := lsh.RouteVector(v, len(c.clients))
-	first, _, err := c.clients[s].Ingest([]Vector{v})
-	if err != nil {
-		return 0, fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.clients[s].Addr(), err)
-	}
-	return int(lsh.GroupID(s, first)), nil
-}
+func (c *RemoteCollection) Insert(v Vector) (int, error) { return insertOne(c.remote, v) }
 
 // InsertBatch routes each vector to its home shard, streams the per-shard
 // runs, and returns per-vector ids aligned with vs — the id assignment an
 // in-process ShardedCollection.InsertBatch makes for the same vectors.
-func (c *RemoteCollection) InsertBatch(vs []Vector) ([]int, error) {
-	if len(vs) == 0 {
-		return nil, nil
-	}
-	S := len(c.clients)
-	ids := make([]int, len(vs))
-	if S == 1 {
-		first, _, err := c.clients[0].Ingest(vs)
-		if err != nil {
-			return nil, fmt.Errorf("lshjoin: shard 0 (%s): %w", c.clients[0].Addr(), err)
-		}
-		for i := range ids {
-			ids[i] = first + i
-		}
-		return ids, nil
-	}
-	parts := make([][]Vector, S)
-	home := make([]int, len(vs))
-	for i, v := range vs {
-		s := lsh.RouteVector(v, S)
-		home[i] = s
-		parts[s] = append(parts[s], v)
-	}
-	first := make([]int, S)
-	for s, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		f, _, err := c.clients[s].Ingest(part)
-		if err != nil {
-			return nil, fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.clients[s].Addr(), err)
-		}
-		first[s] = f
-	}
-	next := first
-	for i := range vs {
-		s := home[i]
-		ids[i] = int(lsh.GroupID(s, next[s]))
-		next[s]++
-	}
-	return ids, nil
-}
+func (c *RemoteCollection) InsertBatch(vs []Vector) ([]int, error) { return routeInsert(c.remote, vs) }
 
 // Estimator constructs the requested algorithm over the current distributed
 // state: per-shard snapshots are fetched (or version-validated against the
@@ -489,47 +365,20 @@ func (c *RemoteCollection) InsertBatch(vs []Vector) ([]int, error) {
 // performs, including the seed stream, so estimates are draw-for-draw
 // bit-equal for equal data, options and estimator seeds.
 func (c *RemoteCollection) Estimator(algo Algorithm, opts ...EstimatorOption) (Estimator, error) {
-	var o estOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.seed == 0 {
-		o.seed = c.nextSeed()
-	}
-	gs, err := c.capture()
-	if err != nil {
-		return nil, err
-	}
-	inner, err := buildEstimator(gs, c.family, c.sim, c.opt, algo, o)
-	if err != nil {
-		return nil, err
-	}
-	return &seeded{inner: inner, rng: xrand.New(o.seed)}, nil
+	return c.estimator(algo, opts)
 }
 
 // EstimateJoinSize estimates the join size with merged LSH-SS under the
 // paper's default parameters. Each call draws fresh randomness; use
 // Estimator for reproducible or repeated estimation.
 func (c *RemoteCollection) EstimateJoinSize(tau float64) (float64, error) {
-	est, err := c.Estimator(AlgoLSHSS)
-	if err != nil {
-		return 0, err
-	}
-	return est.Estimate(tau)
+	return c.estimateJoinSize(tau)
 }
 
 // EstimateJoinSizeCurve estimates the selectivity curve J(τ) for a grid of
 // thresholds from one shared merged-LSH-SS sampling pass.
 func (c *RemoteCollection) EstimateJoinSizeCurve(taus []float64) ([]float64, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return nil, err
-	}
-	inner, err := core.NewMergedLSHSS(gs, c.sim)
-	if err != nil {
-		return nil, err
-	}
-	return inner.EstimateCurve(taus, xrand.New(c.nextSeed()))
+	return c.estimateJoinSizeCurve(taus)
 }
 
 // SearchSimilar returns ids of indexed vectors with sim(v, ·) ≥ tau among
@@ -537,32 +386,13 @@ func (c *RemoteCollection) EstimateJoinSizeCurve(taus []float64) ([]float64, err
 // Results use shard-encoded ids in shard order, identical to
 // ShardedCollection.SearchSimilar over the same data.
 func (c *RemoteCollection) SearchSimilar(v Vector, tau float64) ([]int, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return nil, err
-	}
-	var out []int
-	for s := 0; s < gs.S(); s++ {
-		for _, local := range gs.Snap(s).Search(v, tau) {
-			out = append(out, int(lsh.GroupID(s, int(local))))
-		}
-	}
-	return out, nil
+	return c.searchSimilar(v, tau)
 }
 
 // ExactJoinSize computes the true join size over the fetched union corpus
 // (inverted-index joiner for cosine, brute force otherwise). The corpus
 // ships once per changed shard and the count runs locally.
-func (c *RemoteCollection) ExactJoinSize(tau float64) (int64, error) {
-	gs, err := c.capture()
-	if err != nil {
-		return 0, err
-	}
-	if c.opt.Measure != CosineSimilarity {
-		return bruteCount(gs.Data(), c.sim, tau)
-	}
-	return exactjoin.NewJoiner(gs.Data()).CountAt(tau)
-}
+func (c *RemoteCollection) ExactJoinSize(tau float64) (int64, error) { return c.exactJoinSize(tau) }
 
 // VerifyShardSampling cross-checks the reconstruction of shard s: it draws
 // draws weighted pairs from table t on the server and the same draws from
@@ -571,11 +401,11 @@ func (c *RemoteCollection) ExactJoinSize(tau float64) (int64, error) {
 // draw-for-draw guarantee, observed end to end over the wire. The check
 // retries once if the shard publishes between the fetch and the sample.
 func (c *RemoteCollection) VerifyShardSampling(s, t, draws int, seed uint64) error {
-	if s < 0 || s >= len(c.clients) {
-		return fmt.Errorf("lshjoin: shard %d out of range [0, %d)", s, len(c.clients))
+	if s < 0 || s >= len(c.remote.clients) {
+		return fmt.Errorf("lshjoin: shard %d out of range [0, %d)", s, len(c.remote.clients))
 	}
 	for attempt := 0; ; attempt++ {
-		gs, err := c.capture()
+		gs, err := c.remote.capture()
 		if err != nil {
 			return err
 		}
@@ -583,9 +413,9 @@ func (c *RemoteCollection) VerifyShardSampling(s, t, draws int, seed uint64) err
 			return fmt.Errorf("lshjoin: table %d out of range [0, %d)", t, gs.L())
 		}
 		snap := gs.Snap(s)
-		version, pairs, err := c.clients[s].SampleBatch(t, draws, seed)
+		version, pairs, err := c.remote.clients[s].SampleBatch(t, draws, seed)
 		if err != nil {
-			return fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.clients[s].Addr(), err)
+			return fmt.Errorf("lshjoin: shard %d (%s): %w", s, c.remote.clients[s].Addr(), err)
 		}
 		if version != snap.Version() {
 			if attempt == 0 {
@@ -612,11 +442,4 @@ func (c *RemoteCollection) VerifyShardSampling(s, t, draws int, seed uint64) err
 		}
 		return nil
 	}
-}
-
-// nextSeed derives a fresh deterministic seed for estimator construction —
-// the same stream as ShardedCollection.nextSeed, which is what makes
-// unseeded remote estimates reproduce in-process ones call for call.
-func (c *RemoteCollection) nextSeed() uint64 {
-	return xrand.Mix2(c.opt.Seed^0xE57AB1E, c.seedCtr.Add(1))
 }

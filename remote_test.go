@@ -312,11 +312,11 @@ func assertRemoteReadsAgree(t *testing.T, step string, shrd *ShardedCollection, 
 // remoteShardCopies returns the coordinator's per-shard index copies; a
 // full fetch replaces a copy, a delta or not-modified answer keeps it.
 func remoteShardCopies(rem *RemoteCollection) []*lsh.Index {
-	out := make([]*lsh.Index, len(rem.shards))
-	for s := range rem.shards {
-		rem.shards[s].mu.Lock()
-		out[s] = rem.shards[s].idx
-		rem.shards[s].mu.Unlock()
+	out := make([]*lsh.Index, len(rem.remote.copies))
+	for s := range rem.remote.copies {
+		rem.remote.copies[s].mu.Lock()
+		out[s] = rem.remote.copies[s].idx
+		rem.remote.copies[s].mu.Unlock()
 	}
 	return out
 }
@@ -328,9 +328,6 @@ func TestConnectValidation(t *testing.T) {
 	}
 	if _, err := Connect(addrs, Options{Dir: t.TempDir()}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("Dir accepted: %v", err)
-	}
-	if _, err := Connect(addrs, Options{Float32Signing: true}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("Float32Signing accepted: %v", err)
 	}
 	if _, err := Connect(addrs, Options{Shards: 3}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("shard-count mismatch accepted: %v", err)
@@ -584,6 +581,13 @@ func TestRemoteShardRestart(t *testing.T) {
 		stop()
 		t.Fatal(err)
 	}
+	// An exact join before the restart: a joiner cached on the version
+	// vector alone would be served again after it.
+	oldExact, err := rem.ExactJoinSize(0.8)
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
 	stop()
 	_, stop = serve(addr, newVecs)
 	defer stop()
@@ -627,6 +631,16 @@ func TestRemoteShardRestart(t *testing.T) {
 	}
 	if math.Float64bits(va) != math.Float64bits(vb) {
 		t.Fatalf("estimate after restart %v, in-process over the new vectors %v", vb, va)
+	}
+	wantExact, err := want.ExactJoinSize(0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantExact == oldExact {
+		t.Fatalf("fixture cannot tell the corpora apart: both exact joins are %d", oldExact)
+	}
+	if gotExact, err := rem.ExactJoinSize(0.8); err != nil || gotExact != wantExact {
+		t.Fatalf("exact join after restart %d (%v), in-process over the new vectors %d", gotExact, err, wantExact)
 	}
 	for _, q := range newVecs[:5] {
 		sb, err := rem.SearchSimilar(q, 0.7)
@@ -828,9 +842,6 @@ func TestShardServerDurable(t *testing.T) {
 func TestNewShardServerValidation(t *testing.T) {
 	if _, err := NewShardServer(Options{Shards: 2}); !errors.Is(err, ErrInvalidOptions) {
 		t.Errorf("Shards=2 accepted: %v", err)
-	}
-	if _, err := NewShardServer(Options{Float32Signing: true}); !errors.Is(err, ErrInvalidOptions) {
-		t.Errorf("Float32Signing accepted: %v", err)
 	}
 	// Reopening asserts against the stored identity.
 	dir := t.TempDir()

@@ -443,7 +443,7 @@ func TestExactJoinerCacheSumAliasRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real := c.capture().Versions()
+	real := c.ShardVersions()
 	// A joiner over a bogus two-vector corpus: if it is ever served, the
 	// count collapses to at most 1.
 	bogus := exactjoin.NewJoiner(vecs[:2])
@@ -452,7 +452,7 @@ func TestExactJoinerCacheSumAliasRegression(t *testing.T) {
 		{real[0] + 1, real[1] + 1}, // dominates the live vector
 	} {
 		c.joinerMu.Lock()
-		c.joiner, c.joinerVers = bogus, alias
+		c.joiner, c.joinerVers, c.joinerGS = bogus, alias, nil
 		c.joinerMu.Unlock()
 		got, err := c.ExactJoinSize(0.9)
 		if err != nil {
@@ -470,7 +470,7 @@ func TestExactJoinerCacheSumAliasRegression(t *testing.T) {
 	}
 	// A genuinely newer capture (every shard ≥, one >) replaces the cache.
 	c.joinerMu.Lock()
-	c.joiner, c.joinerVers = bogus, []uint64{real[0] - 1, real[1]}
+	c.joiner, c.joinerVers, c.joinerGS = bogus, []uint64{real[0] - 1, real[1]}, nil
 	c.joinerMu.Unlock()
 	if got, err := c.ExactJoinSize(0.9); err != nil || got != want {
 		t.Fatalf("ExactJoinSize after stale cache: %d, %v (want %d)", got, err, want)

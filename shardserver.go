@@ -26,8 +26,7 @@ import (
 // write hook — network serving and durability compose with no extra code.
 type ShardServer struct {
 	opt    Options
-	idx    *lsh.Index
-	store  *persist.Store // nil for in-memory servers
+	local  *localSource // the one shard, and its store when durable
 	srv    *shardrpc.Server
 	closed atomic.Bool
 }
@@ -37,74 +36,63 @@ type ShardServer struct {
 // fresh in-memory index; with Dir set, an existing store is recovered
 // (adopt-or-assert on the hashing fields) or a fresh one created.
 // Shards, if set, must be 1 — one server owns one shard; run S processes
-// for S shards. Float32Signing is rejected: the signing lane travels with
-// neither snapshots nor stores. Call Serve to accept connections.
+// for S shards. Call Serve to accept connections.
 func NewShardServer(opt Options) (*ShardServer, error) {
 	if opt.Shards > 1 {
 		return nil, fmt.Errorf("%w: Shards = %d, but a shard server owns exactly one shard (run one server per shard)", ErrInvalidOptions, opt.Shards)
 	}
-	if opt.Float32Signing {
-		return nil, fmt.Errorf("%w: Float32Signing is not supported on a shard server (the signing lane does not travel with snapshots)", ErrInvalidOptions)
+	opt, err := opt.validated()
+	if err != nil {
+		return nil, err
 	}
-	s := &ShardServer{}
-	if opt.Dir == "" {
-		opt, err := opt.normalized()
-		if err != nil {
-			return nil, err
-		}
-		family, _, err := familyFor(opt)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := lsh.NewEmptyIndex(family, opt.K, opt.Tables)
-		if err != nil {
-			return nil, fmt.Errorf("lshjoin: %w", err)
-		}
-		s.opt, s.idx = opt, idx
-	} else {
-		opt, err := opt.validated()
-		if err != nil {
-			return nil, err
-		}
+	var idx *lsh.Index
+	var stores []*persist.Store
+	if opt.Dir != "" {
 		idx, store, err := persist.Open(faultfs.OS{}, opt.Dir)
 		switch {
 		case err == nil:
-			spec, err := lsh.SpecOf(idx.Family())
-			if err != nil {
-				store.Close()
-				return nil, fmt.Errorf("lshjoin: %w", err)
-			}
-			opt.Shards = 0 // a plain store has no shard count to assert against
-			if opt, err = reconcile(opt, spec, idx.K(), idx.L(), 1); err != nil {
+			stores = []*persist.Store{store}
+			if opt, err = adoptStore(opt, idx); err != nil {
 				store.Close()
 				return nil, err
 			}
-			s.opt, s.idx, s.store = opt, idx, store
-		case errors.Is(err, ErrNoStore):
-			opt, err := opt.normalized()
-			if err != nil {
-				return nil, err
-			}
-			family, _, err := familyFor(opt)
-			if err != nil {
-				return nil, err
-			}
-			idx, err := lsh.NewEmptyIndex(family, opt.K, opt.Tables)
-			if err != nil {
-				return nil, fmt.Errorf("lshjoin: %w", err)
-			}
-			store, err := persist.Create(faultfs.OS{}, opt.Dir, idx)
-			if err != nil {
-				return nil, fmt.Errorf("lshjoin: %w", err)
-			}
-			s.opt, s.idx, s.store = opt, idx, store
-		default:
+			return newShardServer(opt, idx, stores)
+		case !errors.Is(err, ErrNoStore):
 			return nil, fmt.Errorf("lshjoin: %w", err)
 		}
-		applyStorePolicy(s.opt, s.store)
 	}
-	s.srv = shardrpc.NewServer(s.idx, shardrpc.ServerOptions{PublishEvery: s.opt.PublishEvery})
-	return s, nil
+	if opt, err = opt.normalized(); err != nil {
+		return nil, err
+	}
+	family, _, err := familyFor(opt)
+	if err != nil {
+		return nil, err
+	}
+	if idx, err = lsh.NewEmptyIndex(family, opt.K, opt.Tables); err != nil {
+		return nil, fmt.Errorf("lshjoin: %w", err)
+	}
+	if opt.Dir != "" {
+		store, err := persist.Create(faultfs.OS{}, opt.Dir, idx)
+		if err != nil {
+			return nil, fmt.Errorf("lshjoin: %w", err)
+		}
+		stores = []*persist.Store{store}
+	}
+	return newShardServer(opt, idx, stores)
+}
+
+// newShardServer serves idx, and its store when durable.
+func newShardServer(opt Options, idx *lsh.Index, stores []*persist.Store) (*ShardServer, error) {
+	g, err := lsh.NewShardGroupFromIndexes(idx.Family(), idx.K(), idx.L(), []*lsh.Index{idx})
+	if err != nil {
+		closeAll(stores...)
+		return nil, fmt.Errorf("lshjoin: %w", err)
+	}
+	return &ShardServer{
+		opt:   opt,
+		local: newLocalSource(opt, g, stores),
+		srv:   shardrpc.NewServer(idx, shardrpc.ServerOptions{PublishEvery: opt.PublishEvery}),
+	}, nil
 }
 
 // Serve accepts connections on ln until Close, blocking; it returns nil
@@ -119,17 +107,8 @@ func (s *ShardServer) Close() error {
 		return nil
 	}
 	err := s.srv.Close()
-	if s.store != nil {
-		var cerr error
-		s.idx.PublishAndThen(func(snap *lsh.Snapshot) {
-			cerr = s.store.Checkpoint(snap)
-		})
-		if serr := s.store.Close(); cerr == nil {
-			cerr = serr
-		}
-		if cerr != nil {
-			return fmt.Errorf("lshjoin: close: %w", cerr)
-		}
+	if cerr := closeStores(nil, s.local); cerr != nil {
+		return cerr
 	}
 	return err
 }
@@ -139,17 +118,11 @@ func (s *ShardServer) Close() error {
 // coordinator-side routing contract still applies: load a vector only into
 // the shard lsh.RouteVector assigns it to, or coordinated ids will not
 // match the in-process collection's.
-func (s *ShardServer) InsertBatch(vs []Vector) int {
-	first := s.idx.InsertBatch(vs)
-	if p := s.opt.PublishEvery; p > 0 && s.idx.Pending() >= p {
-		s.idx.Snapshot()
-	}
-	return first
-}
+func (s *ShardServer) InsertBatch(vs []Vector) int { return must(s.local.ingest(0, vs)) }
 
 // N returns the shard's vector count, pending ingest included once
 // published (this publishes, like any read on a Collection).
-func (s *ShardServer) N() int { return s.idx.Snapshot().N() }
+func (s *ShardServer) N() int { return s.local.Capture().N() }
 
 // K returns the per-table hash function count.
 func (s *ShardServer) K() int { return s.opt.K }
