@@ -79,7 +79,7 @@ func runPerf(outPath string) (*perfReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := core.NewLSHSS(snap1, nil)
+	est, err := core.NewMergedLSHSS(lsh.SingleSnapshot(snap1), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -202,7 +202,7 @@ func (cj *CrossJoin) EstimateJoinSizeBudget(tau float64, mH, mL int) (float64, e
 		}
 		opts = append(opts, core.WithGeneralSampleSizes(mH, mL))
 	}
-	est, err := core.NewGeneralLSHSSOver(bs, cj.sim, opts...)
+	est, err := core.NewGeneralLSHSSOver(bs, opts...)
 	if err != nil {
 		return 0, err
 	}
@@ -219,7 +219,7 @@ func (cj *CrossJoin) EstimateJoinSizeCurve(taus []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := core.NewGeneralLSHSSOver(bs, cj.sim)
+	est, err := core.NewGeneralLSHSSOver(bs)
 	if err != nil {
 		return nil, err
 	}

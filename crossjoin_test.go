@@ -102,7 +102,7 @@ func (sj *staticCrossJoin) estimate(t *testing.T, tau float64, mH, mL int) float
 		}
 		opts = append(opts, core.WithGeneralSampleSizes(mH, mL))
 	}
-	est, err := core.NewGeneralLSHSS(sj.bp, sj.sim, opts...)
+	est, err := core.NewGeneralLSHSSOver(sj.bp, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

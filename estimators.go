@@ -134,13 +134,13 @@ func (o *estOpts) ssOptions(n int) []core.LSHSSOption {
 
 // buildEstimator constructs the requested algorithm over a captured
 // shard-snapshot vector — the one algorithm switch behind every front end
-// (a Collection's capture is a single-shard vector). The merged constructors all delegate to their
-// single-snapshot counterparts at S = 1, so the unsharded path is
-// draw-for-draw what it always was; at S > 1 the LSH-SS family, the median
-// and virtual-bucket estimators sample through the merged per-table weight
-// views (per-shard N_H plus cross-shard bipartite N_H — exactly the union
-// index's stratum H), J_U and LSH-S consume the exact merged N_H, and the
-// sampling baselines and Lattice Counting run over the dense union corpus.
+// (a Collection's capture is a single-shard vector). The LSH-SS family, the
+// median and virtual-bucket estimators sample through the merged per-table
+// weight views (per-shard N_H plus cross-shard bipartite N_H — exactly the
+// union index's stratum H), J_U and LSH-S consume the exact merged N_H, and
+// the sampling baselines and Lattice Counting run over the dense union
+// corpus. At S = 1 each merged view has one component and samples straight
+// from it, so the unsharded path draws exactly what one table draws.
 func buildEstimator(gs *lsh.GroupSnapshot, family lsh.Family, sim core.SimFunc, opt Options, algo Algorithm, o estOpts) (core.Estimator, error) {
 	ssOpts := o.ssOptions(gs.N())
 	var inner core.Estimator

@@ -154,32 +154,12 @@ func sameSnapshots(a, b *lsh.GroupSnapshot) bool {
 	return true
 }
 
-// versionsGE is the componentwise comparison under version-vector caches
-// (the exact joiner above; the cross join's stratum cache uses the same
-// rule via core.BipartiteStratumCache): ok reports next ≥ prev in every
-// component with matching shapes, newer whether some component strictly
-// advanced.
-func versionsGE(next, prev []uint64) (ok, newer bool) {
-	if len(next) != len(prev) {
-		return false, false
-	}
-	for s := range next {
-		if next[s] < prev[s] {
-			return false, false
-		}
-		if next[s] > prev[s] {
-			newer = true
-		}
-	}
-	return true, newer
-}
-
 // versionsAdvance reports whether version vector next is strictly newer than
 // prev: componentwise ≥ with at least one component >. Incomparable vectors
 // (concurrent captures that each saw a different shard publish first) never
 // advance the cache; both readers still get correct one-off joiners.
 func versionsAdvance(next, prev []uint64) bool {
-	ok, newer := versionsGE(next, prev)
+	ok, newer := core.VersionsDominate(next, prev)
 	return ok && newer
 }
 

@@ -29,12 +29,13 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // whitelist names the componentwise helpers allowed to reduce version
-// vectors (they compare element by element; listed for the ISSUE record —
-// none of them actually folds).
+// vectors: core.VersionsDominate, the one element-by-element comparison, and
+// the two advance rules built on it (the root package's versionsAdvance and
+// core's versionPairAdvances). None of them actually folds.
 var whitelist = map[string]bool{
+	"VersionsDominate":    true,
 	"versionsAdvance":     true,
 	"versionPairAdvances": true,
-	"versionsGE":          true,
 }
 
 // versionName matches identifiers that carry version vectors.

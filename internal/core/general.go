@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"lshjoin/internal/lsh"
 	"lshjoin/internal/sample"
 	"lshjoin/internal/vecmath"
 	"lshjoin/internal/xrand"
@@ -56,13 +55,13 @@ func (e *GeneralRS) Estimate(tau float64, rng *xrand.RNG) (float64, error) {
 
 // BipartiteStratum abstracts the cross-pair space partition the general
 // estimator samples over: stratum H (cross pairs whose buckets share a g
-// value, weight-sampled) versus everything else. One lsh.Bipartite matching
-// implements it directly; a sharded group pair's merged view (see
-// sharded.go) implements it by combining per-shard-pair matchings, which is
-// what lets one App. B.2.2 implementation serve both single-snapshot and
-// shard-group cross joins. The view is immutable, so callers serving
-// repeated estimates over an unchanged capture should build it once (see
-// NewBipartiteStratum) and construct estimators over it per call.
+// value, weight-sampled) versus everything else. Estimators sample through
+// a group pair's merged view (MergedBipartiteStratum, see sharded.go); one
+// lsh.Bipartite matching implements it as well, which is what lets tests
+// check a 1×1 merged view draw for draw against the plain matching. The view
+// is immutable, so callers serving repeated estimates over an unchanged
+// capture should build it once (see BipartiteStratumCache) and construct
+// estimators over it per call.
 type BipartiteStratum interface {
 	// M is the total number of cross pairs |U|·|V|.
 	M() int64
@@ -87,8 +86,7 @@ type BipartiteStratum interface {
 // matching with weight b_j·c_i), stratum L is everything else (rejection
 // sampling).
 type GeneralLSHSS struct {
-	bp  BipartiteStratum
-	sim SimFunc
+	bp BipartiteStratum
 
 	mH, mL    int
 	delta     int
@@ -97,29 +95,26 @@ type GeneralLSHSS struct {
 	maxReject int
 }
 
-// NewGeneralLSHSS builds the estimator over a bipartite bucket matching.
-// Defaults mirror the self-join case with n = (|U|+|V|)/2: m_H = m_L = n,
-// δ = ⌈log₂ n⌉.
-func NewGeneralLSHSS(bp *lsh.Bipartite, sim SimFunc, opts ...GeneralOption) (*GeneralLSHSS, error) {
+// NewGeneralLSHSSOver builds the estimator over a bipartite stratum view —
+// a MergedBipartiteStratum, typically cached across estimates by a
+// BipartiteStratumCache. Defaults mirror the self-join case with
+// n = (|U|+|V|)/2: m_H = m_L = n, δ = ⌈log₂ n⌉. Similarities are the view's
+// family similarity.
+func NewGeneralLSHSSOver(bp BipartiteStratum, opts ...GeneralOption) (*GeneralLSHSS, error) {
 	if bp == nil {
-		return nil, fmt.Errorf("core: general LSH-SS needs a bipartite matching")
+		return nil, fmt.Errorf("core: general LSH-SS needs a bipartite stratum")
 	}
-	return newGeneralLSHSS(bp, sim, opts)
+	return newGeneralLSHSS(bp, opts)
 }
 
-// newGeneralLSHSS binds the estimator to any bipartite stratum view — the
-// shared constructor behind the single-matching and merged cross-group
-// entry points.
-func newGeneralLSHSS(bp BipartiteStratum, sim SimFunc, opts []GeneralOption) (*GeneralLSHSS, error) {
-	if sim == nil {
-		sim = vecmath.Cosine
-	}
+// newGeneralLSHSS binds the estimator to any bipartite stratum view.
+func newGeneralLSHSS(bp BipartiteStratum, opts []GeneralOption) (*GeneralLSHSS, error) {
 	n := (bp.LeftN() + bp.RightN()) / 2
 	if n < 1 {
 		n = 1
 	}
 	e := &GeneralLSHSS{
-		bp: bp, sim: sim,
+		bp: bp,
 		mH: n, mL: n,
 		delta:     int(math.Ceil(math.Log2(float64(n + 1)))),
 		damp:      DampOff,

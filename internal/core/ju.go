@@ -20,7 +20,7 @@ import (
 // (2)–(3) by numeric integration — the ablation DESIGN.md calls out for
 // sign-random-projection, whose p(s) = 1 − arccos(s)/π.
 type JU struct {
-	m, nh  int64 // M = C(n, 2) and N_H of the stratifying table (or merged view)
+	m, nh  int64 // M = C(n, 2) and the merged N_H of table 0
 	k      int
 	family lsh.Family
 	mode   JUMode
@@ -35,23 +35,23 @@ const (
 	JUNumeric                  // integrates the family's p(s)^k
 )
 
-// NewJU builds the estimator over table 0 of an index snapshot.
-func NewJU(snap *lsh.Snapshot, mode JUMode) (*JU, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: JU needs an index snapshot")
+// NewMergedJU builds the uniformity estimator over table 0 of a
+// shard-snapshot vector. JU consumes only (M, N_H, k) and the family's
+// collision curve, and the merged N_H equals the union index's N_H exactly,
+// so the sharded JU is equal — not just close — to the single-index JU over
+// the same corpus.
+func NewMergedJU(gs *lsh.GroupSnapshot, mode JUMode) (*JU, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: JU needs a group snapshot")
 	}
-	tab := snap.Table(0)
-	return newJUFrom(tab.M(), tab.NH(), tab.K(), snap.Family(), mode)
-}
-
-// newJUFrom builds the estimator from the summary statistics it actually
-// consumes — JU reads nothing but (M, N_H, k) and the family's collision
-// curve, which is why a sharded group can feed it the exact merged N_H.
-func newJUFrom(m, nh int64, k int, family lsh.Family, mode JUMode) (*JU, error) {
 	if mode != JUClosedForm && mode != JUNumeric {
 		return nil, fmt.Errorf("core: unknown JU mode %d", mode)
 	}
-	return &JU{m: m, nh: nh, k: k, family: family, mode: mode}, nil
+	ms, err := NewMergedStratum(gs, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &JU{m: ms.M(), nh: ms.NH(), k: gs.K(), family: gs.Family(), mode: mode}, nil
 }
 
 // Name implements Estimator.

@@ -21,36 +21,34 @@ import (
 // the analytic P(H|T) of the uniformity analysis, which is exactly why its
 // high-threshold estimates are unreliable.
 type LSHS struct {
-	mPairs, nh int64 // M = C(n, 2) and N_H of the stratifying table (or merged view)
+	mPairs, nh int64 // M = C(n, 2) and the merged N_H of table 0
 	k          int
 	family     lsh.Family
-	view       dataView
+	view       sliceView
 	n          int
 	m          int
 }
 
-// NewLSHS builds the estimator over table 0 of an index snapshot; m is the
+// NewMergedLSHS builds the estimator over table 0 of a shard-snapshot
+// vector, with the merged N_H and the dense union corpus; m is the
 // pair-sample size (defaults to n). Like all estimators, it binds to the
-// snapshot at construction and is immune to concurrent inserts.
-func NewLSHS(snap *lsh.Snapshot, m int) (*LSHS, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: LSH-S needs an index snapshot")
+// capture at construction and is immune to concurrent inserts.
+func NewMergedLSHS(gs *lsh.GroupSnapshot, m int) (*LSHS, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: LSH-S needs a group snapshot")
 	}
-	tab := snap.Table(0)
-	return newLSHSFrom(tab.M(), tab.NH(), tab.K(), snap.Family(), sliceView(snap.Data()), snap.N(), m)
-}
-
-// newLSHSFrom builds the estimator from its summary statistics plus a vector
-// view — the form the sharded constructors feed with merged N_H and the
-// dense union corpus.
-func newLSHSFrom(mPairs, nh int64, k int, family lsh.Family, view dataView, n, m int) (*LSHS, error) {
+	n := gs.N()
 	if n < 2 {
 		return nil, fmt.Errorf("core: LSH-S needs at least 2 vectors, got %d", n)
 	}
 	if m <= 0 {
 		m = n
 	}
-	return &LSHS{mPairs: mPairs, nh: nh, k: k, family: family, view: view, n: n, m: m}, nil
+	ms, err := NewMergedStratum(gs, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &LSHS{mPairs: ms.M(), nh: ms.NH(), k: gs.K(), family: gs.Family(), view: sliceView(gs.Data()), n: n, m: m}, nil
 }
 
 // Name implements Estimator.

@@ -28,10 +28,10 @@ const (
 )
 
 // stratum abstracts the pair-space partition LSH-SS samples over: stratum H
-// (co-bucketed pairs, weight-sampled) versus everything else. One LSH table
-// implements it directly; a sharded group's merged per-table view (see
-// sharded.go) implements it by combining per-shard weights, which is what
-// lets one Algorithm 1 implementation serve both single and sharded indexes.
+// (co-bucketed pairs, weight-sampled) versus everything else. Estimators
+// sample through a shard group's merged per-table view (see sharded.go);
+// one lsh.Table implements it as well, which is what lets tests check a
+// one-shard merged view draw for draw against the plain table.
 type stratum interface {
 	// M is the total number of unordered pairs C(n, 2).
 	M() int64
@@ -46,8 +46,8 @@ type stratum interface {
 	SameBucket(i, j int) bool
 }
 
-// dataView abstracts vector access by id so estimators read either a plain
-// snapshot slice or a sharded group's dense union view.
+// dataView abstracts vector access by dense id: a shard group's union view,
+// or a plain vector slice.
 type dataView interface {
 	At(i int) vecmath.Vector
 }
@@ -113,8 +113,8 @@ func WithTable(t int) LSHSSOption {
 }
 
 // newSSBase resolves the n-scaled defaults and options shared by every
-// LSH-SS-family constructor (single-table, merged, virtual-bucket probe) and
-// validates them; the caller then binds strat/view/n.
+// LSH-SS-family constructor (single-table, median per table, virtual-bucket
+// probe) and validates them; the caller then binds strat/view.
 func newSSBase(n int, sim SimFunc, opts []LSHSSOption) (*LSHSS, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("core: LSH-SS needs at least 2 vectors, got %d", n)
@@ -147,23 +147,26 @@ func newSSBase(n int, sim SimFunc, opts []LSHSSOption) (*LSHSS, error) {
 	return e, nil
 }
 
-// NewLSHSS builds the estimator over one table of an index snapshot. The
-// estimator binds to the snapshot at construction: it answers over that
-// immutable version forever, unaffected by concurrent inserts into the
-// owning index. sim defaults to cosine.
-func NewLSHSS(snap *lsh.Snapshot, sim SimFunc, opts ...LSHSSOption) (*LSHSS, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: LSH-SS needs an index snapshot")
+// NewMergedLSHSS builds LSH-SS over a captured shard-snapshot vector (an
+// unsharded index is wrapped by lsh.SingleSnapshot): the stratifying table
+// (WithTable) is the merged per-table weight view, and the vector data is
+// the dense union corpus. The estimator binds to the capture at
+// construction: it answers over those immutable versions forever, unaffected
+// by concurrent inserts into the owning index. sim defaults to cosine.
+func NewMergedLSHSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*LSHSS, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: merged LSH-SS needs a group snapshot")
 	}
-	e, err := newSSBase(snap.N(), sim, opts)
+	e, err := newSSBase(gs.N(), sim, opts)
 	if err != nil {
 		return nil, err
 	}
-	if e.tableIdx < 0 || e.tableIdx >= snap.L() {
-		return nil, fmt.Errorf("core: table %d out of range [0, %d)", e.tableIdx, snap.L())
+	ms, err := NewMergedStratum(gs, e.tableIdx)
+	if err != nil {
+		return nil, err
 	}
-	e.strat = snap.Table(e.tableIdx)
-	e.view = sliceView(snap.Data())
+	e.strat = ms
+	e.view = gs // locates each sampled vector; no per-estimator union copy
 	return e, nil
 }
 

@@ -19,15 +19,16 @@ type MedianSS struct {
 	subs []*LSHSS
 }
 
-// NewMedianSS builds per-table LSH-SS estimators with shared options, all
-// bound to the same index snapshot.
-func NewMedianSS(snap *lsh.Snapshot, sim SimFunc, opts ...LSHSSOption) (*MedianSS, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: median estimator needs an index snapshot")
+// NewMergedMedianSS builds the median estimator over a shard-snapshot
+// vector: one merged LSH-SS per table with shared options, median of the
+// per-table estimates.
+func NewMergedMedianSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*MedianSS, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: merged median estimator needs a group snapshot")
 	}
-	subs := make([]*LSHSS, 0, snap.L())
-	for t := 0; t < snap.L(); t++ {
-		s, err := NewLSHSS(snap, sim, append(append([]LSHSSOption(nil), opts...), WithTable(t))...)
+	subs := make([]*LSHSS, 0, gs.L())
+	for t := 0; t < gs.L(); t++ {
+		s, err := NewMergedLSHSS(gs, sim, append(append([]LSHSSOption(nil), opts...), WithTable(t))...)
 		if err != nil {
 			return nil, err
 		}
@@ -58,34 +59,24 @@ func (e *MedianSS) Estimate(tau float64, rng *xrand.RNG) (float64, error) {
 	return stats.Median(ests), nil
 }
 
-// tableView abstracts the multi-table observables the virtual-bucket
-// estimator reads: per-table stratum-H weights and samplers plus the
-// cross-table membership tests. A plain snapshot implements it through
-// snapTables; a sharded group implements it through the merged per-table
-// strata of core/sharded.go.
-type tableView interface {
-	L() int
-	N() int
-	At(i int) vecmath.Vector
-	TableNH(t int) int64
-	SampleTablePair(t int, rng *xrand.RNG) (i, j int, ok bool)
-	SameAnyBucket(i, j int) bool
-	BucketMultiplicity(i, j int) int
+// groupTables is the multi-table view the virtual-bucket estimator reads: a
+// shard-snapshot vector plus its per-table merged strata, which supply the
+// per-table stratum-H weights and samplers; the group supplies the
+// cross-table membership tests.
+type groupTables struct {
+	gs     *lsh.GroupSnapshot
+	data   sliceView
+	strata []*MergedStratum
 }
 
-// snapTables adapts one index snapshot to tableView.
-type snapTables struct{ s *lsh.Snapshot }
-
-func (v snapTables) L() int                      { return v.s.L() }
-func (v snapTables) N() int                      { return v.s.N() }
-func (v snapTables) At(i int) vecmath.Vector     { return v.s.Data()[i] }
-func (v snapTables) TableNH(t int) int64         { return v.s.Table(t).NH() }
-func (v snapTables) SameAnyBucket(i, j int) bool { return v.s.SameAnyBucket(i, j) }
-func (v snapTables) BucketMultiplicity(i, j int) int {
-	return v.s.BucketMultiplicity(i, j)
-}
-func (v snapTables) SampleTablePair(t int, rng *xrand.RNG) (i, j int, ok bool) {
-	return v.s.Table(t).SamplePair(rng)
+func (v groupTables) L() int                          { return v.gs.L() }
+func (v groupTables) N() int                          { return v.gs.N() }
+func (v groupTables) At(i int) vecmath.Vector         { return v.data.At(i) }
+func (v groupTables) TableNH(t int) int64             { return v.strata[t].NH() }
+func (v groupTables) SameAnyBucket(i, j int) bool     { return v.gs.SameAnyBucket(i, j) }
+func (v groupTables) BucketMultiplicity(i, j int) int { return v.gs.BucketMultiplicity(i, j) }
+func (v groupTables) SampleTablePair(t int, rng *xrand.RNG) (i, j int, ok bool) {
+	return v.strata[t].SamplePair(rng)
 }
 
 // VirtualSS is the virtual-bucket estimator of App. B.2.1: a pair belongs to
@@ -100,7 +91,7 @@ func (v snapTables) SampleTablePair(t int, rng *xrand.RNG) (i, j int, ok bool) {
 // of the pair's bucket multiplicity — which gives unbiased estimates of both
 // |S_H^∪| and J_H. DESIGN.md records this as a documented extension.
 type VirtualSS struct {
-	view tableView
+	view groupTables
 	sim  SimFunc
 
 	mH, mL    int
@@ -113,30 +104,36 @@ type VirtualSS struct {
 	totalNH float64   // Σ_t N_H,t
 }
 
-// NewVirtualSS builds the virtual-bucket estimator over an index snapshot.
-// The LSHSS options WithSampleSizes, WithDelta and WithDamp are honored.
-func NewVirtualSS(snap *lsh.Snapshot, sim SimFunc, opts ...LSHSSOption) (*VirtualSS, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("core: virtual-bucket estimator needs an index snapshot")
+// NewMergedVirtualSS builds the virtual-bucket estimator over a
+// shard-snapshot vector: the per-table mixture weights are the merged
+// N_H,t sums and the importance draws come from the merged per-table
+// samplers, with bucket multiplicity evaluated across shards. The LSHSS
+// options WithSampleSizes, WithDelta and WithDamp are honored.
+func NewMergedVirtualSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*VirtualSS, error) {
+	if gs == nil {
+		return nil, fmt.Errorf("core: merged virtual-bucket estimator needs a group snapshot")
 	}
-	return newVirtualSSView(snapTables{s: snap}, sim, opts)
-}
-
-// newVirtualSSView builds the estimator over any multi-table view.
-func newVirtualSSView(view tableView, sim SimFunc, opts []LSHSSOption) (*VirtualSS, error) {
 	if sim == nil {
 		sim = vecmath.Cosine
 	}
 	// Reuse LSHSS option plumbing to resolve the n-scaled defaults.
-	probe, err := newSSBase(view.N(), sim, opts)
+	probe, err := newSSBase(gs.N(), sim, opts)
 	if err != nil {
 		return nil, err
 	}
 	// The virtual-bucket stratum spans all tables, so WithTable is
 	// meaningless here — but an out-of-range index is still a caller
 	// configuration error worth failing fast on.
-	if probe.tableIdx < 0 || probe.tableIdx >= view.L() {
-		return nil, fmt.Errorf("core: table %d out of range [0, %d)", probe.tableIdx, view.L())
+	if probe.tableIdx < 0 || probe.tableIdx >= gs.L() {
+		return nil, fmt.Errorf("core: table %d out of range [0, %d)", probe.tableIdx, gs.L())
+	}
+	view := groupTables{gs: gs, data: sliceView(gs.Data())}
+	for t := 0; t < gs.L(); t++ {
+		ms, err := NewMergedStratum(gs, t)
+		if err != nil {
+			return nil, err
+		}
+		view.strata = append(view.strata, ms)
 	}
 	mH, mL, delta, damp, cs := probe.Params()
 	e := &VirtualSS{

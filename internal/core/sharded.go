@@ -5,11 +5,10 @@ import (
 	"sort"
 
 	"lshjoin/internal/lsh"
-	"lshjoin/internal/vecmath"
 	"lshjoin/internal/xrand"
 )
 
-// Merged estimators over a sharded index (lsh.ShardGroup / lsh.GroupSnapshot).
+// Merged strata over a captured shard-snapshot vector (lsh.GroupSnapshot).
 //
 // Bucket keys are shard-invariant, so the union index's stratum H decomposes
 // exactly over the partition: a union bucket whose members split m_1..m_S
@@ -24,11 +23,14 @@ import (
 // stratum interface Algorithm 1 samples through, so LSH-SS, its curve
 // variant, the median estimator and the virtual-bucket estimator all run
 // over shards unchanged, with the same deterministic RNG-split parallel
-// sampling discipline as the single-index path.
+// sampling discipline at every shard count.
 //
-// With S = 1 every merged constructor delegates to its single-snapshot
-// counterpart, which makes an S=1 sharded collection draw-for-draw identical
-// to the unsharded one.
+// Every estimator in this package is built over a shard-snapshot vector;
+// an unsharded index is the one-shard case (lsh.SingleSnapshot). There is
+// one estimator path: a view with exactly one component samples straight
+// from it, with no component-pick draw, so a one-shard view draws exactly
+// what its lsh.Table draws (and a 1×1 cross view exactly what its
+// lsh.Bipartite draws).
 
 // stratumComponent is one additive slice of the merged stratum H: an
 // intra-shard table or a cross-shard bucket matching. samplePair returns
@@ -65,16 +67,70 @@ func (c crossComponent) samplePair(rng *xrand.RNG) (i, j int, ok bool) {
 	return u + c.offL, v + c.offR, ok
 }
 
+// componentList is the additive weight view both merged strata share: the
+// components in order, their cumulative weights, N_H, and the
+// weight-proportional component pick SamplePair descends by.
+type componentList struct {
+	comps []stratumComponent
+	cum   []int64 // cumulative component weights; cum[len-1] = NH
+	nh    int64
+}
+
+func (cl *componentList) add(c stratumComponent) {
+	cl.nh += c.weight()
+	cl.comps = append(cl.comps, c)
+	cl.cum = append(cl.cum, cl.nh)
+}
+
+// NH returns the union stratum-H size: Σ over components, exactly equal to
+// the N_H one index (or one bipartite matching) over the union corpus would
+// maintain.
+func (cl *componentList) NH() int64 { return cl.nh }
+
+// Components returns the number of additive weight components: S intra-shard
+// plus C(S, 2) cross-shard for a self-join view, S_left·S_right shard pairs
+// for a cross view.
+func (cl *componentList) Components() int { return len(cl.comps) }
+
+// CumWeight returns the cumulative pair weight of components [0, c] — the
+// merged analogue of Table.CumWeight's per-bucket prefix sums, and the
+// boundaries SamplePair descends by.
+func (cl *componentList) CumWeight(c int) int64 {
+	if c < 0 {
+		return 0
+	}
+	if c >= len(cl.cum) {
+		c = len(cl.cum) - 1
+	}
+	return cl.cum[c]
+}
+
+// SamplePair draws a uniform random pair from the union stratum H: a
+// component chosen with probability weight/N_H by its cumulative weight,
+// then that component's own weighted bucket sampler (the per-shard Fenwick
+// descent, or the bipartite matched-bucket search). Since every stratum-H
+// pair belongs to exactly one component, the draw is uniform over the union.
+// A view with one component skips the pick and spends no RNG draw on it.
+func (cl *componentList) SamplePair(rng *xrand.RNG) (i, j int, ok bool) {
+	if cl.nh == 0 {
+		return 0, 0, false
+	}
+	if len(cl.comps) == 1 {
+		return cl.comps[0].samplePair(rng)
+	}
+	x := int64(rng.Uint64n(uint64(cl.nh)))
+	c := sort.Search(len(cl.cum), func(k int) bool { return cl.cum[k] > x })
+	return cl.comps[c].samplePair(rng)
+}
+
 // MergedStratum is the global stratum-H weight view of table t across a
 // captured shard-snapshot vector. It implements the stratum interface over
 // dense union ids and is immutable and safe for concurrent use, like
 // everything snapshot-backed.
 type MergedStratum struct {
-	gs    *lsh.GroupSnapshot
-	t     int
-	comps []stratumComponent
-	cum   []int64 // cumulative component weights; cum[len-1] = NH
-	nh    int64
+	componentList
+	gs *lsh.GroupSnapshot
+	t  int
 }
 
 // NewMergedStratum combines table t of every shard snapshot into one global
@@ -90,19 +146,14 @@ func NewMergedStratum(gs *lsh.GroupSnapshot, t int) (*MergedStratum, error) {
 	}
 	ms := &MergedStratum{gs: gs, t: t}
 	for a := 0; a < gs.S(); a++ {
-		ms.comps = append(ms.comps, intraComponent{tab: gs.Snap(a).Table(t), off: gs.Offset(a)})
+		ms.add(intraComponent{tab: gs.Snap(a).Table(t), off: gs.Offset(a)})
 		for b := a + 1; b < gs.S(); b++ {
 			bp, err := lsh.NewBipartite(gs.Snap(a), gs.Snap(b), t)
 			if err != nil {
 				return nil, err
 			}
-			ms.comps = append(ms.comps, crossComponent{bp: bp, offL: gs.Offset(a), offR: gs.Offset(b)})
+			ms.add(crossComponent{bp: bp, offL: gs.Offset(a), offR: gs.Offset(b)})
 		}
-	}
-	ms.cum = make([]int64, len(ms.comps))
-	for i, c := range ms.comps {
-		ms.nh += c.weight()
-		ms.cum[i] = ms.nh
 	}
 	return ms, nil
 }
@@ -113,43 +164,8 @@ func (ms *MergedStratum) M() int64 {
 	return n * (n - 1) / 2
 }
 
-// NH returns the union stratum-H size: Σ over components, exactly equal to
-// the N_H a single index over the union corpus would maintain.
-func (ms *MergedStratum) NH() int64 { return ms.nh }
-
 // NL returns M − N_H.
 func (ms *MergedStratum) NL() int64 { return ms.M() - ms.nh }
-
-// Components returns the number of additive weight components
-// (S intra-shard + C(S, 2) cross-shard).
-func (ms *MergedStratum) Components() int { return len(ms.comps) }
-
-// CumWeight returns the cumulative pair weight of components [0, c] — the
-// merged analogue of Table.CumWeight's per-bucket prefix sums, and the
-// boundaries SamplePair descends by.
-func (ms *MergedStratum) CumWeight(c int) int64 {
-	if c < 0 {
-		return 0
-	}
-	if c >= len(ms.cum) {
-		c = len(ms.cum) - 1
-	}
-	return ms.cum[c]
-}
-
-// SamplePair draws a uniform random pair from the union stratum H: a
-// component chosen with probability weight/N_H by its cumulative weight,
-// then that component's own weighted bucket sampler (the per-shard Fenwick
-// descent, or the bipartite matched-bucket search). Since every stratum-H
-// pair belongs to exactly one component, the draw is uniform over the union.
-func (ms *MergedStratum) SamplePair(rng *xrand.RNG) (i, j int, ok bool) {
-	if ms.nh == 0 {
-		return 0, 0, false
-	}
-	x := int64(rng.Uint64n(uint64(ms.nh)))
-	c := sort.Search(len(ms.cum), func(k int) bool { return ms.cum[k] > x })
-	return ms.comps[c].samplePair(rng)
-}
 
 // SameBucket reports whether dense pair (i, j) belongs to the union stratum
 // H of table t — same-shard pairs test their shard's table, cross-shard
@@ -170,30 +186,30 @@ func (ms *MergedStratum) SameBucket(i, j int) bool {
 // BipartiteStratum interface (dense ids within each group's own id space)
 // and is immutable and safe for concurrent use.
 type MergedBipartiteStratum struct {
+	componentList
 	left, right *lsh.GroupSnapshot
 	t           int
-	comps       []crossComponent
-	cum         []int64 // cumulative component weights; cum[len-1] = NH
-	nh          int64
 }
 
 // NewMergedBipartiteStratum combines table t of every (left shard, right
 // shard) pair into one cross-group weight view. Construction walks each
 // shard pair's buckets once to build the bipartite matchings —
-// O(S_left·S_right·#buckets) — so estimators build it once and sample many
-// times. Both groups must be hashed with the same family and k.
+// O(S_left·S_right·#buckets) — so callers answering repeated estimates over
+// an unchanged capture build it once (see BipartiteStratumCache) and
+// construct estimators over it per call. Both groups must be hashed with the
+// same family and k.
 func NewMergedBipartiteStratum(left, right *lsh.GroupSnapshot, t int) (*MergedBipartiteStratum, error) {
-	return newMergedBipartiteStratumReuse(left, right, t, nil)
+	return newMergedBipartiteStratum(left, right, t, func(a, b int) (*lsh.Bipartite, error) {
+		return lsh.NewBipartite(left.Snap(a), right.Snap(b), t)
+	})
 }
 
-// newMergedBipartiteStratumReuse is NewMergedBipartiteStratum with component
-// reuse: when reuse is non-nil, reuse(a, b) may return an already-built
-// bipartite matching for shard pair (a, b) — valid only if both shards'
-// snapshots are unchanged, which the caller is responsible for checking by
-// version — and nil to build fresh. Offsets and cumulative weights are
-// always reassembled from the given snapshots, since a publish on one shard
-// shifts every later shard's dense offset.
-func newMergedBipartiteStratumReuse(left, right *lsh.GroupSnapshot, t int, reuse func(a, b int) *lsh.Bipartite) (*MergedBipartiteStratum, error) {
+// newMergedBipartiteStratum assembles the view from match(a, b), which
+// returns the bucket matching of shard pair (a, b) — built fresh, or reused
+// by a caller that checked both shards' versions. Offsets and cumulative
+// weights are always reassembled from the given snapshots, since a publish
+// on one shard shifts every later shard's dense offset.
+func newMergedBipartiteStratum(left, right *lsh.GroupSnapshot, t int, match func(a, b int) (*lsh.Bipartite, error)) (*MergedBipartiteStratum, error) {
 	if err := lsh.CompatibleCross(left, right); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -203,24 +219,12 @@ func newMergedBipartiteStratumReuse(left, right *lsh.GroupSnapshot, t int, reuse
 	ms := &MergedBipartiteStratum{left: left, right: right, t: t}
 	for a := 0; a < left.S(); a++ {
 		for b := 0; b < right.S(); b++ {
-			var bp *lsh.Bipartite
-			if reuse != nil {
-				bp = reuse(a, b)
+			bp, err := match(a, b)
+			if err != nil {
+				return nil, err
 			}
-			if bp == nil {
-				var err error
-				bp, err = lsh.NewBipartite(left.Snap(a), right.Snap(b), t)
-				if err != nil {
-					return nil, err
-				}
-			}
-			ms.comps = append(ms.comps, crossComponent{bp: bp, offL: left.Offset(a), offR: right.Offset(b)})
+			ms.add(crossComponent{bp: bp, offL: left.Offset(a), offR: right.Offset(b)})
 		}
-	}
-	ms.cum = make([]int64, len(ms.comps))
-	for i, c := range ms.comps {
-		ms.nh += c.weight()
-		ms.cum[i] = ms.nh
 	}
 	return ms, nil
 }
@@ -230,11 +234,6 @@ func (ms *MergedBipartiteStratum) M() int64 {
 	return int64(ms.left.N()) * int64(ms.right.N())
 }
 
-// NH returns the union cross-stratum-H size: Σ over shard-pair components,
-// exactly equal to the N_H one bipartite matching over the union sides
-// would maintain.
-func (ms *MergedBipartiteStratum) NH() int64 { return ms.nh }
-
 // NL returns M − N_H.
 func (ms *MergedBipartiteStratum) NL() int64 { return ms.M() - ms.nh }
 
@@ -242,37 +241,9 @@ func (ms *MergedBipartiteStratum) NL() int64 { return ms.M() - ms.nh }
 func (ms *MergedBipartiteStratum) LeftN() int  { return ms.left.N() }
 func (ms *MergedBipartiteStratum) RightN() int { return ms.right.N() }
 
-// Components returns the number of additive weight components
-// (S_left·S_right shard pairs).
-func (ms *MergedBipartiteStratum) Components() int { return len(ms.comps) }
-
-// CumWeight returns the cumulative cross-pair weight of components [0, c] —
-// the boundaries SamplePair descends by.
-func (ms *MergedBipartiteStratum) CumWeight(c int) int64 {
-	if c < 0 {
-		return 0
-	}
-	if c >= len(ms.cum) {
-		c = len(ms.cum) - 1
-	}
-	return ms.cum[c]
-}
-
-// SamplePair draws a uniform random cross pair from the union stratum H: a
-// shard-pair component chosen with probability weight/N_H by its cumulative
-// weight, then that component's matched-bucket sampler. Dense group ids.
-func (ms *MergedBipartiteStratum) SamplePair(rng *xrand.RNG) (u, v int, ok bool) {
-	if ms.nh == 0 {
-		return 0, 0, false
-	}
-	x := int64(rng.Uint64n(uint64(ms.nh)))
-	c := sort.Search(len(ms.cum), func(k int) bool { return ms.cum[k] > x })
-	return ms.comps[c].samplePair(rng)
-}
-
 // SameBucket reports whether left dense vector u and right dense vector v
-// have equal g values in table t — the cross-group stratum-H membership
-// test the rejection sampler calls per candidate pair.
+// have equal g values in table t — the cross-group membership test the
+// rejection sampler calls per candidate pair.
 func (ms *MergedBipartiteStratum) SameBucket(u, v int) bool {
 	return ms.left.SameBucketAcrossGroups(ms.t, u, ms.right, v)
 }
@@ -281,164 +252,4 @@ func (ms *MergedBipartiteStratum) SameBucket(u, v int) bool {
 // dense vector v.
 func (ms *MergedBipartiteStratum) Sim(u, v int) float64 {
 	return ms.left.Family().Sim(ms.left.At(u), ms.right.At(v))
-}
-
-// NewBipartiteStratum builds the cross-group stratum view of table t for a
-// captured group pair: the plain per-snapshot bipartite matching at one
-// shard per side (preserving the historic draw stream exactly), the merged
-// per-shard-pair decomposition otherwise. The view is immutable — callers
-// answering repeated estimates over an unchanged capture should build it
-// once, cache it keyed on the pair's version vectors, and construct
-// estimators over it per call (estimator construction itself is cheap).
-func NewBipartiteStratum(left, right *lsh.GroupSnapshot, t int) (BipartiteStratum, error) {
-	if err := lsh.CompatibleCross(left, right); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if left.S() == 1 && right.S() == 1 {
-		return lsh.NewBipartite(left.Snap(0), right.Snap(0), t)
-	}
-	return NewMergedBipartiteStratum(left, right, t)
-}
-
-// NewGeneralLSHSSOver builds the general estimator over a prebuilt
-// bipartite stratum view, for callers that cache the (expensive) view
-// across estimates; NewGeneralLSHSS and NewMergedGeneralLSHSS are the
-// build-and-bind conveniences on top of it.
-func NewGeneralLSHSSOver(bp BipartiteStratum, sim SimFunc, opts ...GeneralOption) (*GeneralLSHSS, error) {
-	if bp == nil {
-		return nil, fmt.Errorf("core: general LSH-SS needs a bipartite stratum")
-	}
-	return newGeneralLSHSS(bp, sim, opts)
-}
-
-// NewMergedGeneralLSHSS builds the general (non-self) LSH-SS estimator of
-// App. B.2.2 over two captured shard-snapshot vectors, stratified by the
-// merged table-0 bipartite matching. With one shard on each side it
-// delegates to the plain bipartite matching of the two snapshots,
-// draw-for-draw — which is what keeps an S=1 live cross join identical to
-// the static single-snapshot path.
-func NewMergedGeneralLSHSS(left, right *lsh.GroupSnapshot, sim SimFunc, opts ...GeneralOption) (*GeneralLSHSS, error) {
-	bs, err := NewBipartiteStratum(left, right, 0)
-	if err != nil {
-		return nil, err
-	}
-	return newGeneralLSHSS(bs, sim, opts)
-}
-
-// NewMergedLSHSS builds LSH-SS over a captured shard-snapshot vector: the
-// stratifying table (WithTable) is the merged per-table weight view, and the
-// vector data is the dense union corpus. With one shard it delegates to
-// NewLSHSS on that shard's snapshot, draw-for-draw.
-func NewMergedLSHSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*LSHSS, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: merged LSH-SS needs a group snapshot")
-	}
-	if gs.S() == 1 {
-		return NewLSHSS(gs.Snap(0), sim, opts...)
-	}
-	e, err := newSSBase(gs.N(), sim, opts)
-	if err != nil {
-		return nil, err
-	}
-	if e.tableIdx < 0 || e.tableIdx >= gs.L() {
-		return nil, fmt.Errorf("core: table %d out of range [0, %d)", e.tableIdx, gs.L())
-	}
-	ms, err := NewMergedStratum(gs, e.tableIdx)
-	if err != nil {
-		return nil, err
-	}
-	e.strat = ms
-	e.view = gs // locates each sampled vector; no per-estimator union copy
-	return e, nil
-}
-
-// NewMergedMedianSS builds the median estimator over a shard-snapshot
-// vector: one merged LSH-SS per table, median of the per-table estimates.
-func NewMergedMedianSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*MedianSS, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: merged median estimator needs a group snapshot")
-	}
-	subs := make([]*LSHSS, 0, gs.L())
-	for t := 0; t < gs.L(); t++ {
-		s, err := NewMergedLSHSS(gs, sim, append(append([]LSHSSOption(nil), opts...), WithTable(t))...)
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, s)
-	}
-	return &MedianSS{subs: subs}, nil
-}
-
-// groupTables adapts a shard-snapshot vector plus its per-table merged
-// strata to the virtual-bucket estimator's tableView.
-type groupTables struct {
-	gs     *lsh.GroupSnapshot
-	data   sliceView
-	strata []*MergedStratum
-}
-
-func (v groupTables) L() int                          { return v.gs.L() }
-func (v groupTables) N() int                          { return v.gs.N() }
-func (v groupTables) At(i int) vecmath.Vector         { return v.data.At(i) }
-func (v groupTables) TableNH(t int) int64             { return v.strata[t].NH() }
-func (v groupTables) SameAnyBucket(i, j int) bool     { return v.gs.SameAnyBucket(i, j) }
-func (v groupTables) BucketMultiplicity(i, j int) int { return v.gs.BucketMultiplicity(i, j) }
-func (v groupTables) SampleTablePair(t int, rng *xrand.RNG) (i, j int, ok bool) {
-	return v.strata[t].SamplePair(rng)
-}
-
-// NewMergedVirtualSS builds the virtual-bucket estimator over a
-// shard-snapshot vector: the per-table mixture weights are the merged
-// N_H,t sums and the importance draws come from the merged per-table
-// samplers, with bucket multiplicity evaluated across shards.
-func NewMergedVirtualSS(gs *lsh.GroupSnapshot, sim SimFunc, opts ...LSHSSOption) (*VirtualSS, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: merged virtual-bucket estimator needs a group snapshot")
-	}
-	if gs.S() == 1 {
-		return NewVirtualSS(gs.Snap(0), sim, opts...)
-	}
-	view := groupTables{gs: gs, data: sliceView(gs.Data())}
-	for t := 0; t < gs.L(); t++ {
-		ms, err := NewMergedStratum(gs, t)
-		if err != nil {
-			return nil, err
-		}
-		view.strata = append(view.strata, ms)
-	}
-	return newVirtualSSView(view, sim, opts)
-}
-
-// NewMergedJU builds the uniformity estimator over a shard-snapshot vector.
-// JU consumes only (M, N_H, k) and the family's collision curve, and the
-// merged N_H equals the union index's N_H exactly, so the sharded JU is
-// equal — not just close — to the single-index JU over the same corpus.
-func NewMergedJU(gs *lsh.GroupSnapshot, mode JUMode) (*JU, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: JU needs a group snapshot")
-	}
-	if gs.S() == 1 {
-		return NewJU(gs.Snap(0), mode)
-	}
-	ms, err := NewMergedStratum(gs, 0)
-	if err != nil {
-		return nil, err
-	}
-	return newJUFrom(ms.M(), ms.NH(), gs.K(), gs.Family(), mode)
-}
-
-// NewMergedLSHS builds the sampled collision estimator over a shard-snapshot
-// vector, with the merged table-0 N_H and the dense union corpus.
-func NewMergedLSHS(gs *lsh.GroupSnapshot, m int) (*LSHS, error) {
-	if gs == nil {
-		return nil, fmt.Errorf("core: LSH-S needs a group snapshot")
-	}
-	if gs.S() == 1 {
-		return NewLSHS(gs.Snap(0), m)
-	}
-	ms, err := NewMergedStratum(gs, 0)
-	if err != nil {
-		return nil, err
-	}
-	return newLSHSFrom(ms.M(), ms.NH(), gs.K(), gs.Family(), sliceView(gs.Data()), gs.N(), m)
 }

@@ -114,19 +114,32 @@ func TestMergedSamplePairUniformOverUnionStratum(t *testing.T) {
 	}
 }
 
-// With one shard the merged constructors delegate: draw-for-draw identical
-// estimates to the single-snapshot constructors.
+// plainLSHSS is the independent S = 1 reference: LSH-SS bound directly to
+// a plain lsh.Table and the snapshot's vector slice, bypassing the merged
+// stratum.
+func plainLSHSS(t *testing.T, snap *lsh.Snapshot, opts ...LSHSSOption) *LSHSS {
+	t.Helper()
+	e, err := newSSBase(snap.N(), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.strat = snap.Table(e.tableIdx)
+	e.view = sliceView(snap.Data())
+	return e
+}
+
+// With one shard the merged view has one component and samples straight
+// from it: draw-for-draw identical estimates and curves to LSH-SS over the
+// plain table.
 func TestMergedSingleShardDelegates(t *testing.T) {
 	gs, union := groupAndUnion(t, 200, 10, 2, 1, lsh.NewSimHash(3))
 	merged, err := NewMergedLSHSS(gs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewLSHSS(union, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tau := range []float64{0.5, 0.8, 0.95} {
+	plain := plainLSHSS(t, union)
+	taus := []float64{0.5, 0.8, 0.95}
+	for _, tau := range taus {
 		for seed := uint64(1); seed <= 3; seed++ {
 			a, err := merged.Estimate(tau, xrand.New(seed))
 			if err != nil {
@@ -141,6 +154,33 @@ func TestMergedSingleShardDelegates(t *testing.T) {
 			}
 		}
 	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		ca, err := merged.EstimateCurve(taus, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := plain.EstimateCurve(taus, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ca {
+			if ca[i] != cb[i] {
+				t.Fatalf("seed %d: curve[%d] merged %v, plain %v", seed, i, ca[i], cb[i])
+			}
+		}
+	}
+	ms, err := NewMergedStratum(gs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, rb := xrand.New(42), xrand.New(42)
+	for d := 0; d < 200; d++ {
+		ai, aj, aok := ms.SamplePair(ra)
+		bi, bj, bok := union.Table(0).SamplePair(rb)
+		if ai != bi || aj != bj || aok != bok {
+			t.Fatalf("draw %d: merged (%d,%d,%v), table (%d,%d,%v)", d, ai, aj, aok, bi, bj, bok)
+		}
+	}
 }
 
 // JU consumes only (M, N_H, k), and the merged N_H is exact, so the sharded
@@ -153,7 +193,7 @@ func TestMergedJUEqualsUnion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := NewJU(union, mode)
+			plain, err := NewMergedJU(lsh.SingleSnapshot(union), mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,11 +276,12 @@ func TestMergedEstimateCurveMonotone(t *testing.T) {
 	}
 }
 
-// Out-of-range table selections fail fast on every constructor, merged or
-// not (the virtual-bucket estimator ignores WithTable but still validates).
+// Out-of-range table selections fail fast on every constructor, at any
+// shard count (the virtual-bucket estimator ignores WithTable but still
+// validates).
 func TestOutOfRangeTableRejected(t *testing.T) {
 	gs, union := groupAndUnion(t, 60, 6, 2, 3, lsh.NewSimHash(3))
-	if _, err := NewVirtualSS(union, nil, WithTable(7)); err == nil {
+	if _, err := NewMergedVirtualSS(lsh.SingleSnapshot(union), nil, WithTable(7)); err == nil {
 		t.Error("VirtualSS accepted out-of-range table")
 	}
 	if _, err := NewMergedVirtualSS(gs, nil, WithTable(7)); err == nil {
@@ -261,7 +302,7 @@ func TestMergedLSHSRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewLSHS(union, 0)
+	plain, err := NewMergedLSHS(lsh.SingleSnapshot(union), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,16 +443,28 @@ func TestMergedBipartiteSamplePairUniform(t *testing.T) {
 	}
 }
 
-// With one shard on each side the merged general constructor delegates to
-// the plain bipartite matching: draw-for-draw identical estimates and
-// curves.
-func TestMergedGeneralSingleShardDelegates(t *testing.T) {
-	lgs, rgs, union := crossGroupsAndUnion(t, 150, 120, 10, 1, 1, 1, lsh.NewSimHash(3))
-	merged, err := NewMergedGeneralLSHSS(lgs, rgs, nil)
+// mergedGeneral builds general LSH-SS over the merged bipartite stratum of
+// two captured groups.
+func mergedGeneral(t *testing.T, lgs, rgs *lsh.GroupSnapshot) *GeneralLSHSS {
+	t.Helper()
+	ms, err := NewMergedBipartiteStratum(lgs, rgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewGeneralLSHSS(union, nil)
+	e, err := NewGeneralLSHSSOver(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// With one shard on each side the merged bipartite view has one component
+// and samples straight from it: draw-for-draw identical estimates and
+// curves to general LSH-SS over the plain bipartite matching.
+func TestMergedGeneralSingleShardDelegates(t *testing.T) {
+	lgs, rgs, union := crossGroupsAndUnion(t, 150, 120, 10, 1, 1, 1, lsh.NewSimHash(3))
+	merged := mergedGeneral(t, lgs, rgs)
+	plain, err := newGeneralLSHSS(union, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,10 +507,7 @@ func TestMergedGeneralTracksExactJoin(t *testing.T) {
 	if exact < 10 {
 		t.Fatalf("planting failed: exact = %v", exact)
 	}
-	est, err := NewMergedGeneralLSHSS(lgs, rgs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := mergedGeneral(t, lgs, rgs)
 	var sum float64
 	const reps = 30
 	for i := 0; i < reps; i++ {
@@ -476,11 +526,8 @@ func TestMergedGeneralTracksExactJoin(t *testing.T) {
 // over both plain and merged strata.
 func TestGeneralCurveMonotone(t *testing.T) {
 	lgs, rgs, union := crossGroupsAndUnion(t, 150, 120, 8, 1, 2, 2, lsh.NewSimHash(11))
-	merged, err := NewMergedGeneralLSHSS(lgs, rgs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewGeneralLSHSS(union, nil)
+	merged := mergedGeneral(t, lgs, rgs)
+	plain, err := NewGeneralLSHSSOver(union)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +578,7 @@ func TestMergedBipartiteValidation(t *testing.T) {
 	if _, err := NewMergedBipartiteStratum(base, nil, 0); err == nil {
 		t.Error("nil side accepted")
 	}
-	if _, err := NewMergedGeneralLSHSS(base, nil, nil); err == nil {
-		t.Error("general constructor accepted nil side")
+	if _, err := NewMergedBipartiteStratum(nil, base, 0); err == nil {
+		t.Error("nil left side accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -26,7 +25,7 @@ type BipartiteStratumCache struct {
 	t int
 
 	mu     sync.Mutex
-	view   BipartiteStratum
+	view   *MergedBipartiteStratum
 	lv, rv []uint64
 	comps  map[[2]int]cachedBipartite
 }
@@ -43,12 +42,10 @@ func NewBipartiteStratumCache(t int) *BipartiteStratumCache {
 	return &BipartiteStratumCache{t: t}
 }
 
-// View returns the bipartite stratum view of the captured pair, reusing the
-// adopted view on an exact version-vector match and reusing unchanged
-// per-shard-pair components otherwise. With one shard per side the view is
-// the plain lsh.Bipartite (preserving the historic draw stream, like
-// NewBipartiteStratum); otherwise it is the merged per-shard-pair
-// decomposition.
+// View returns the merged bipartite stratum view of the captured pair,
+// reusing the adopted view on an exact version-vector match and reusing
+// unchanged per-shard-pair components otherwise. With one shard per side the
+// view has one component and draws exactly what its lsh.Bipartite draws.
 func (c *BipartiteStratumCache) View(left, right *lsh.GroupSnapshot) (BipartiteStratum, error) {
 	lv, rv := left.Versions(), right.Versions()
 	c.mu.Lock()
@@ -87,30 +84,21 @@ func (c *BipartiteStratumCache) View(left, right *lsh.GroupSnapshot) (BipartiteS
 
 // build constructs the view for one captured pair outside the lock and
 // returns every component it holds (reused or fresh) keyed by shard pair.
-func (c *BipartiteStratumCache) build(left, right *lsh.GroupSnapshot, reuse map[[2]int]*lsh.Bipartite) (BipartiteStratum, map[[2]int]*lsh.Bipartite, error) {
-	if left.S() == 1 && right.S() == 1 {
-		if err := lsh.CompatibleCross(left, right); err != nil {
-			return nil, nil, fmt.Errorf("core: %w", err)
-		}
-		bp := reuse[[2]int{0, 0}]
+func (c *BipartiteStratumCache) build(left, right *lsh.GroupSnapshot, reuse map[[2]int]*lsh.Bipartite) (*MergedBipartiteStratum, map[[2]int]*lsh.Bipartite, error) {
+	built := make(map[[2]int]*lsh.Bipartite)
+	ms, err := newMergedBipartiteStratum(left, right, c.t, func(a, b int) (*lsh.Bipartite, error) {
+		bp := reuse[[2]int{a, b}]
 		if bp == nil {
 			var err error
-			bp, err = lsh.NewBipartite(left.Snap(0), right.Snap(0), c.t)
-			if err != nil {
-				return nil, nil, err
+			if bp, err = lsh.NewBipartite(left.Snap(a), right.Snap(b), c.t); err != nil {
+				return nil, err
 			}
 		}
-		return bp, map[[2]int]*lsh.Bipartite{{0, 0}: bp}, nil
-	}
-	ms, err := newMergedBipartiteStratumReuse(left, right, c.t, func(a, b int) *lsh.Bipartite {
-		return reuse[[2]int{a, b}]
+		built[[2]int{a, b}] = bp
+		return bp, nil
 	})
 	if err != nil {
 		return nil, nil, err
-	}
-	built := make(map[[2]int]*lsh.Bipartite, len(ms.comps))
-	for i, comp := range ms.comps {
-		built[[2]int{i / right.S(), i % right.S()}] = comp.bp
 	}
 	return ms, built, nil
 }
@@ -119,15 +107,17 @@ func (c *BipartiteStratumCache) build(left, right *lsh.GroupSnapshot, reuse map[
 // (lNext, rNext) is strictly newer than (lPrev, rPrev): no component of
 // either side regressed and at least one advanced.
 func versionPairAdvances(lNext, lPrev, rNext, rPrev []uint64) bool {
-	lok, lnew := versionsDominate(lNext, lPrev)
-	rok, rnew := versionsDominate(rNext, rPrev)
+	lok, lnew := VersionsDominate(lNext, lPrev)
+	rok, rnew := VersionsDominate(rNext, rPrev)
 	return lok && rok && (lnew || rnew)
 }
 
-// versionsDominate reports whether next is componentwise ≥ prev (ok) and
-// whether any component strictly advanced (newer). Mismatched lengths never
-// dominate.
-func versionsDominate(next, prev []uint64) (ok, newer bool) {
+// VersionsDominate reports whether version vector next is componentwise ≥
+// prev (ok) and whether any component strictly advanced (newer). Mismatched
+// lengths never dominate. It is the one comparison under every
+// version-vector cache: this stratum cache and the front ends' exact-joiner
+// cache.
+func VersionsDominate(next, prev []uint64) (ok, newer bool) {
 	if len(next) != len(prev) {
 		return false, false
 	}

@@ -76,11 +76,12 @@ func TestBipartiteStratumCacheComponentReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms2 := v2.(*MergedBipartiteStratum)
+	bp := func(ms *MergedBipartiteStratum, c int) *lsh.Bipartite { return ms.comps[c].(crossComponent).bp }
 	for b := 0; b < 2; b++ {
-		if ms2.comps[2+b].bp != ms1.comps[2+b].bp {
+		if bp(ms2, 2+b) != bp(ms1, 2+b) {
 			t.Fatalf("untouched component (1,%d) was rebuilt", b)
 		}
-		if ms2.comps[b].bp == ms1.comps[b].bp {
+		if bp(ms2, b) == bp(ms1, b) {
 			t.Fatalf("stale component (0,%d) was reused across a publish", b)
 		}
 	}
@@ -135,9 +136,9 @@ func TestVersionPairAdvances(t *testing.T) {
 	}
 }
 
-// With one shard per side the cache must serve the plain per-snapshot
-// bipartite — same type and draw stream as NewBipartiteStratum — and still
-// reuse it across unchanged captures.
+// With one shard per side the cache serves a one-component merged view that
+// draws exactly what the plain per-snapshot bipartite matching draws, and
+// still reuses it across unchanged captures.
 func TestBipartiteStratumCacheSingleShard(t *testing.T) {
 	fam := lsh.NewSimHash(7)
 	gl, err := lsh.NewShardGroup(testData(60, 11), fam, 6, 1, 1)
@@ -154,13 +155,13 @@ func TestBipartiteStratumCacheSingleShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := v1.(*lsh.Bipartite); !ok {
-		t.Fatalf("1x1 view is %T, want *lsh.Bipartite", v1)
+	if ms, ok := v1.(*MergedBipartiteStratum); !ok || ms.Components() != 1 {
+		t.Fatalf("1x1 view is %T, want a one-component *MergedBipartiteStratum", v1)
 	}
 	if v2, err := c.View(lgs, rgs); err != nil || v2 != v1 {
 		t.Fatalf("unchanged 1x1 capture rebuilt the view: %v, %v", v2, err)
 	}
-	want, err := NewBipartiteStratum(lgs, rgs, 0)
+	want, err := lsh.NewBipartite(lgs.Snap(0), rgs.Snap(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,8 @@ var TauTable = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 type Env struct {
 	Data      dataset.Dataset
 	Family    lsh.SimHash
-	Snap      *lsh.Snapshot // immutable index view all experiments read
+	Snap      *lsh.Snapshot      // immutable index view all experiments read
+	Group     *lsh.GroupSnapshot // Snap as the one-shard capture estimators are built over
 	BuildTime time.Duration
 	GenTime   time.Duration
 
@@ -60,6 +61,7 @@ func NewEnv(kind dataset.Kind, n, k, ell int, seed uint64) (*Env, error) {
 		Data:      d,
 		Family:    fam,
 		Snap:      snap,
+		Group:     lsh.SingleSnapshot(snap),
 		BuildTime: time.Since(t0),
 		GenTime:   genTime,
 		joiner:    exactjoin.NewJoiner(d.Vectors),

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -105,8 +107,45 @@ func TestRegistryCoversDesignIndex(t *testing.T) {
 	}
 }
 
-// TestEachExperimentRuns executes every registered experiment at tiny scale
-// and sanity-checks the rendered output.
+// experimentRowDigests pins the rendered rows of every experiment at the tiny
+// suite (seed 7) by SHA-256, so a refactor of the estimator layer cannot move
+// the paper's tables unnoticed. The experiments in timedExperiments carry
+// wall-clock time in their rows and are only checked for shape.
+var experimentRowDigests = map[string]string{
+	"ablation": "f13656e61e3037f37bcb241cd3fa5412d96c1d9d70a7425860861a7b1566cfaa",
+	"cs":       "fb67449501ca2a701b121a5f151eac4d247b353e388dde0c00c7d694048f800c",
+	"fig2":     "9c19fc7d72fe925235f4c90b3fb9f38d34f5dccbd60a0dcd5df7bb250489e117",
+	"fig3":     "88c5ec731a9bb366f2071dc1166863d98af52c1086155afcb60517e083abe9ef",
+	"fig4":     "280e20db69b21a554901ade3507eea49c4316818646d5d1b89f3b0829729f3ed",
+	"fig5":     "5c71e22a6fe3bc1e71b074d4bffc3444c07f63c8ec60b76b85d2a0dd32537726",
+	"fig6":     "5c71e22a6fe3bc1e71b074d4bffc3444c07f63c8ec60b76b85d2a0dd32537726",
+	"fig7":     "758e4c86751f9ebaf6980fb67fd1c63b0ebefb052e60a0e4773460849b5ff09c",
+	"fig8":     "758e4c86751f9ebaf6980fb67fd1c63b0ebefb052e60a0e4773460849b5ff09c",
+	"fig9":     "030bc9c90e51f6116eac0b1b495185ec038d3727aaed4c7e22e82fadac7a74f5",
+	"joinsize": "c519cae7f89c477967d50f1b663caa8e3b9efd9ee78c227ffef2b81bb81bd97a",
+	"space":    "39eb63038a8ad2ac2af81c0209755b7ab2aa68e31b49c27e21b1b75b5584fe48",
+	"table1":   "b21522e98e8db3c94f5edaeb79899ce97f15c420afedd0207e59a555b737887e",
+	"table2":   "456f374f76e2f40b85e09fc5fe90dfb8e5ce0d99b507f936d284cf516be93994",
+}
+
+var timedExperiments = map[string]bool{"build": true, "runtime": true}
+
+// rowDigest hashes the row cells of tables in order; cells are separated by
+// 0x1f, rows by newlines and tables by their id and title.
+func rowDigest(tables []*Table) string {
+	h := sha256.New()
+	for _, tab := range tables {
+		h.Write([]byte("### " + tab.ID + " " + tab.Title + "\n"))
+		for _, row := range tab.Rows {
+			h.Write([]byte(strings.Join(row, "\x1f") + "\n"))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestEachExperimentRuns executes every registered experiment at tiny scale,
+// sanity-checks the rendered output and compares each timing-free
+// experiment's rows against its recorded digest.
 func TestEachExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment run")
@@ -141,6 +180,13 @@ func TestEachExperimentRuns(t *testing.T) {
 				if !strings.Contains(buf.String(), tab.Title) {
 					t.Error("render lost the title")
 				}
+			}
+			if timedExperiments[id] {
+				return
+			}
+			want, ok := experimentRowDigests[id]
+			if got := rowDigest(tables); !ok || got != want {
+				t.Errorf("rows digest %s, want %q", got, want)
 			}
 		})
 	}

@@ -128,9 +128,10 @@ func (c *ShardedCollection) Insert(v Vector) int { return must(insertOne(c.local
 func (c *ShardedCollection) InsertBatch(vs []Vector) []int { return must(routeInsert(c.local, vs)) }
 
 // Estimator constructs the requested algorithm over this sharded collection.
-// Every algorithm of the paper is available over shards; with one shard the
-// construction delegates to the single-index path, so estimates are
-// draw-for-draw those of an equivalent Collection.
+// Every algorithm of the paper is available over shards through the same
+// constructors a Collection uses; with one shard every merged view has one
+// component and samples straight from it, so estimates are draw-for-draw
+// those of an equivalent Collection.
 func (c *ShardedCollection) Estimator(algo Algorithm, opts ...EstimatorOption) (Estimator, error) {
 	return c.estimator(algo, opts)
 }
