@@ -49,10 +49,11 @@ type CrossJoin struct {
 // Tables must be 1 — the general estimator stratifies by the single
 // bipartite bucket matching of App. B.2.2, and a multi-table request is
 // rejected with an error rather than silently discarded. With Options.Dir
-// set, a durable two-sided store is created there — one group store per
-// side under a cross manifest — and every published shard version on either
-// side persists across restarts; reopen with OpenCrossJoin and call Close
-// to checkpoint on shutdown.
+// set, a durable two-sided store is created there — one self-join store
+// per side under a cross manifest (ErrStoreExists if a store of any kind is
+// already there) — and every published shard version on either side
+// persists across restarts; reopen with OpenCrossJoin and call Close to
+// checkpoint on shutdown.
 func NewCrossJoin(left, right []Vector, opt Options) (*CrossJoin, error) {
 	opt, err := opt.normalized()
 	if err != nil {
@@ -87,21 +88,17 @@ func NewCrossJoin(left, right []Vector, opt Options) (*CrossJoin, error) {
 			return nil, fmt.Errorf("lshjoin: %w", err)
 		}
 	}
-	return newCrossJoin(opt, lg, rg, leftStores, rightStores)
+	return newCrossJoin(opt, lg, rg, leftStores, rightStores), nil
 }
 
 // newCrossJoin serves the two side groups, and their stores when durable.
-func newCrossJoin(opt Options, left, right *lsh.ShardGroup, leftStores, rightStores []*persist.Store) (*CrossJoin, error) {
-	_, sim, err := familyFor(opt)
-	if err != nil {
-		return nil, err
-	}
+func newCrossJoin(opt Options, left, right *lsh.ShardGroup, leftStores, rightStores []*persist.Store) *CrossJoin {
 	return &CrossJoin{
-		opt: opt, family: left.Family(), sim: sim,
+		opt: opt, family: left.Family(), sim: simFor(opt),
 		left:  newLocalSource(opt, left, leftStores),
 		right: newLocalSource(opt, right, rightStores),
 		strat: core.NewBipartiteStratumCache(0),
-	}, nil
+	}
 }
 
 // NewCrossJoinSharded is NewCrossJoin with an explicit shard count: it

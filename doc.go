@@ -86,10 +86,19 @@
 // # Durability
 //
 // Set Options.Dir to make a Collection or ShardedCollection crash-safe.
-// New creates a store in that directory (ErrStoreExists if one is already
-// there); Open and OpenSharded recover one, deriving K, Tables, Seed and
-// Measure from disk — pass zero Options fields to adopt the stored values,
-// or set them as assertions that must match (ErrInvalidOptions otherwise).
+// New creates a store in that directory (ErrStoreExists if a store of any
+// kind is already there); Open and OpenSharded recover one, deriving K,
+// Tables, Seed and Measure from disk — pass zero Options fields to adopt
+// the stored values, or set them as assertions that must match
+// (ErrInvalidOptions otherwise).
+//
+// A directory holds exactly one store, of one of three layouts, named by
+// the commit point its creator writes last: MANIFEST for a plain store,
+// GROUP for a sharded one, CROSS for a cross join. A plain store is the
+// one-shard sharded store — New and NewSharded with one shard write the
+// same files, and Open and OpenSharded open either — while Open of a store
+// with more shards is ErrInvalidOptions, and a self-join opener over a
+// cross join (or OpenCrossJoin over a self-join store) is ErrNoStore.
 //
 // The store is a checkpoint plus a delta log. A checkpoint is a versioned,
 // section-checksummed (CRC32C) snapshot file — family parameters, bucket
@@ -117,16 +126,16 @@
 // a torn tail (a flipped byte mid-file, version skew between files, a
 // missing manifest over live data) refuses to load with ErrCorruptStore
 // rather than guessing. A sharded store keeps one such sub-store per shard
-// under a group manifest, and every shard recovers independently.
+// under a group manifest that records the shape (family, K, Tables,
+// shards), and every shard recovers independently.
 //
 // Cross joins persist the same way: NewCrossJoin with Options.Dir lays out
-// one group store per side under a single CROSS manifest, written last at
-// creation so the two-sided store either fully exists or not at all.
+// one self-join store per side under a single CROSS manifest, written last
+// at creation so the two-sided store either fully exists or not at all.
 // OpenCrossJoin recovers both sides to a componentwise-consistent pair of
 // published version vectors and the reopened join is draw-for-draw
 // identical to the in-memory pipeline at those versions; CrossJoin.Close
-// flushes and checkpoints both sides and stamps their final version
-// vectors into the manifest. The crash-consistency property tests
+// flushes and checkpoints every shard of both sides. The crash-consistency property tests
 // (internal/lsh/persist) drive every write — single-store, mid-rotation
 // background-checkpoint, and two-sided cross workloads — through an
 // injectable filesystem and check exactly this contract at every injection

@@ -11,10 +11,14 @@ import (
 // Typed store errors, re-exported so callers can errors.Is against them
 // without importing internals.
 var (
-	// ErrNoStore reports an Open of a directory holding no store.
+	// ErrNoStore reports an Open, OpenSharded or OpenCrossJoin of a
+	// directory holding no store the opener serves: none at all, or a cross
+	// join for a self-join opener and a self-join store for OpenCrossJoin.
 	ErrNoStore = persist.ErrNotExist
-	// ErrStoreExists reports a New/NewSharded with Options.Dir naming a
-	// directory that already holds a store.
+	// ErrStoreExists reports a New, NewSharded or NewCrossJoin (or a
+	// NewShardServer that cannot open what it finds) with Options.Dir naming
+	// a directory that already holds a store of any kind. Nothing is
+	// written.
 	ErrStoreExists = persist.ErrExists
 	// ErrCorruptStore reports on-disk state recovery must not paper over:
 	// checksum mismatches away from the delta-log tail, version skew
@@ -68,46 +72,73 @@ func closeAll(stores ...*persist.Store) {
 	}
 }
 
+// createGroup builds the shard group over vectors — opt.Shards shards, the
+// one-shard group for a Collection or a fresh shard server — and, with
+// opt.Dir set, creates its store: one path for every local self-join
+// constructor.
+func createGroup(vectors []Vector, opt Options) (*lsh.ShardGroup, []*persist.Store, error) {
+	family, _, err := familyFor(opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	group, err := lsh.NewShardGroupSigned(vectors, family, opt.K, opt.Tables, opt.Shards, opt.signConfig())
+	if err != nil {
+		return nil, nil, fmt.Errorf("lshjoin: %w", err)
+	}
+	if opt.Dir == "" {
+		return group, nil, nil
+	}
+	stores, err := persist.CreateGroup(faultfs.OS{}, opt.Dir, group)
+	if err != nil {
+		return nil, nil, fmt.Errorf("lshjoin: %w", err)
+	}
+	return group, stores, nil
+}
+
+// openGroup recovers the self-join store in dir — a plain store is the
+// one-shard group — and folds its identity into opt: one path for every
+// local self-join opener. With oneShard set, a store of more shards is an
+// ErrInvalidOptions naming OpenSharded.
+func openGroup(dir string, opt Options, oneShard bool) (Options, *lsh.ShardGroup, []*persist.Store, error) {
+	opt.Dir = dir
+	opt, err := opt.validated()
+	if err != nil {
+		return opt, nil, nil, err
+	}
+	group, stores, meta, err := persist.OpenGroup(faultfs.OS{}, dir)
+	if err != nil {
+		return opt, nil, nil, fmt.Errorf("lshjoin: %w", err)
+	}
+	if oneShard {
+		if meta.Shards != 1 {
+			closeAll(stores...)
+			return opt, nil, nil, fmt.Errorf("%w: %s holds a %d-shard store; open it with OpenSharded", ErrInvalidOptions, dir, meta.Shards)
+		}
+		opt.Shards = 0 // a one-shard front end has no shard count to assert
+	}
+	if opt, err = adopt(opt, "the store", ErrCorruptStore, meta.Family, meta.K, meta.Ell, meta.Shards); err != nil {
+		closeAll(stores...)
+		return opt, nil, nil, err
+	}
+	return opt, group, stores, nil
+}
+
 // Open recovers the durable collection stored in dir: the last checkpoint
 // is loaded, the delta log's valid prefix replayed (a torn tail is
 // truncated, never served), and the resulting collection is deep-equal to
 // the last durably published version — estimates, searches and SamplePair
 // streams included. Hashing options are recovered from disk; opt may leave
 // them zero or assert matching values (see Options.Dir), and supplies
-// runtime policies like PublishEvery. Errors: ErrNoStore if dir holds no
-// store, ErrCorruptStore if its state fails validation, ErrInvalidOptions
-// on conflicting options.
+// runtime policies like PublishEvery. A one-shard sharded store opens too.
+// Errors: ErrNoStore if dir holds no self-join store, ErrCorruptStore if
+// its state fails validation, ErrInvalidOptions on conflicting options or
+// a store of more than one shard.
 func Open(dir string, opt Options) (*Collection, error) {
-	opt.Dir = dir
-	opt, err := opt.validated()
+	opt, group, stores, err := openGroup(dir, opt, true)
 	if err != nil {
 		return nil, err
 	}
-	index, store, err := persist.Open(faultfs.OS{}, dir)
-	if err != nil {
-		return nil, fmt.Errorf("lshjoin: %w", err)
-	}
-	opt, err = adoptStore(opt, index)
-	if err != nil {
-		store.Close()
-		return nil, err
-	}
-	c, err := newCollection(opt, index, []*persist.Store{store})
-	if err != nil {
-		store.Close()
-	}
-	return c, err
-}
-
-// adoptStore folds the identity of an index recovered from a plain
-// single-index store into opt.
-func adoptStore(opt Options, index *lsh.Index) (Options, error) {
-	spec, err := lsh.SpecOf(index.Family())
-	if err != nil {
-		return opt, fmt.Errorf("lshjoin: %w", err)
-	}
-	opt.Shards = 0 // a plain store has no shard count to assert against
-	return adopt(opt, "the store", ErrCorruptStore, spec, index.K(), index.L(), 1)
+	return newCollection(opt, group, stores), nil
 }
 
 // Close makes the collection durable at its current version — pending
@@ -116,44 +147,31 @@ func adoptStore(opt Options, index *lsh.Index) (Options, error) {
 // means some earlier publish may not have reached disk and the checkpoint
 // could not repair it. Close is idempotent; a nil-store (purely in-memory)
 // collection closes trivially. The collection must not be used afterwards.
-func (c *Collection) Close() error { return closeStores(nil, c.local) }
+func (c *Collection) Close() error { return closeStores(c.local) }
 
 // OpenSharded recovers the durable sharded collection stored in dir: the
 // group manifest names the shape, every shard recovers independently
 // (checkpoint + delta-log replay), and the reassembled collection routes,
-// estimates and samples exactly as the one that wrote the store. Options
-// semantics match Open, with Shards also recoverable or assertable.
+// estimates and samples exactly as the one that wrote the store. A plain
+// store, as New writes it, opens as one shard. Options semantics match
+// Open, with Shards also recoverable or assertable.
 func OpenSharded(dir string, opt Options) (*ShardedCollection, error) {
-	opt.Dir = dir
-	opt, err := opt.validated()
+	opt, group, stores, err := openGroup(dir, opt, false)
 	if err != nil {
 		return nil, err
 	}
-	group, stores, meta, err := persist.OpenGroup(faultfs.OS{}, dir)
-	if err != nil {
-		return nil, fmt.Errorf("lshjoin: %w", err)
-	}
-	opt, err = adopt(opt, "the store", ErrCorruptStore, meta.Family, meta.K, meta.Ell, meta.Shards)
-	if err != nil {
-		closeAll(stores...)
-		return nil, err
-	}
-	c, err := newSharded(opt, group, stores)
-	if err != nil {
-		closeAll(stores...)
-	}
-	return c, err
+	return newSharded(opt, group, stores), nil
 }
 
 // OpenCrossJoin recovers the durable cross join stored in dir: the cross
-// manifest names the shared shape, then each side's group store recovers
+// manifest names the shared shape, then each side's store recovers
 // independently — every shard to its last durably published version — so
 // the reopened join serves estimates over a componentwise-consistent
 // version-vector pair, draw-for-draw identical to the writer's own view of
 // those versions. Options semantics match OpenSharded (Tables, if asserted,
-// must be 1). Errors: ErrNoStore if dir holds no cross store,
-// ErrCorruptStore if its state fails validation, ErrInvalidOptions on
-// conflicting options.
+// must be 1). Errors: ErrNoStore if dir holds no cross store (a self-join
+// store included), ErrCorruptStore if its state fails validation,
+// ErrInvalidOptions on conflicting options.
 func OpenCrossJoin(dir string, opt Options) (*CrossJoin, error) {
 	opt.Dir = dir
 	opt, err := opt.validated()
@@ -169,52 +187,17 @@ func OpenCrossJoin(dir string, opt Options) (*CrossJoin, error) {
 		closeAll(append(leftStores, rightStores...)...)
 		return nil, err
 	}
-	cj, err := newCrossJoin(opt, left, right, leftStores, rightStores)
-	if err != nil {
-		closeAll(append(leftStores, rightStores...)...)
-	}
-	return cj, err
+	return newCrossJoin(opt, left, right, leftStores, rightStores), nil
 }
 
 // Close makes both sides durable at their current versions — every shard
-// publishes and checkpoints — rewrites each side's group manifest and the
-// cross manifest with the final version-vector pair, then releases the
-// stores. Semantics otherwise match Collection.Close: idempotent, trivial
-// for in-memory cross joins, and the first sticky store error is returned.
-func (cj *CrossJoin) Close() error {
-	return closeStores(func(versions [][]uint64) error {
-		spec, err := lsh.SpecOf(cj.family)
-		if err != nil {
-			return err
-		}
-		for i, left := range []bool{true, false} {
-			gm := persist.GroupMeta{Family: spec, K: cj.opt.K, Ell: 1, Shards: cj.left.S(), Versions: versions[i]}
-			if werr := persist.WriteGroupManifest(faultfs.OS{}, persist.CrossSideDir(cj.opt.Dir, left), gm); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		if err != nil {
-			return err
-		}
-		return persist.WriteCrossManifest(faultfs.OS{}, cj.opt.Dir, persist.CrossMeta{
-			Family: spec, K: cj.opt.K, Shards: cj.left.S(),
-			LeftVersions: versions[0], RightVersions: versions[1],
-		})
-	}, cj.left, cj.right)
-}
+// publishes and checkpoints — then releases the stores. Semantics otherwise
+// match Collection.Close: idempotent, trivial for in-memory cross joins,
+// and the first sticky store error is returned.
+func (cj *CrossJoin) Close() error { return closeStores(cj.left, cj.right) }
 
-// Close makes every shard durable at its current version and rewrites the
-// group manifest with the final shard version vector, then releases the
-// stores. Semantics otherwise match Collection.Close: idempotent, trivial
-// for in-memory collections, and the first sticky shard error is returned.
-func (c *ShardedCollection) Close() error {
-	return closeStores(func(versions [][]uint64) error {
-		spec, err := lsh.SpecOf(c.family)
-		if err != nil {
-			return err
-		}
-		return persist.WriteGroupManifest(faultfs.OS{}, c.opt.Dir, persist.GroupMeta{
-			Family: spec, K: c.opt.K, Ell: c.opt.Tables, Shards: c.local.S(), Versions: versions[0],
-		})
-	}, c.local)
-}
+// Close makes every shard durable at its current version, then releases
+// the stores. Semantics otherwise match Collection.Close: idempotent,
+// trivial for in-memory collections, and the first sticky shard error is
+// returned.
+func (c *ShardedCollection) Close() error { return closeStores(c.local) }

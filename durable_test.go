@@ -1,11 +1,17 @@
 package lshjoin
 
 import (
+	"encoding/hex"
 	"errors"
+	"maps"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+
+	"lshjoin/internal/lsh"
 )
 
 // openTwice opens the same store twice and fails the test on error.
@@ -451,6 +457,263 @@ func TestDurableShardedRoundtrip(t *testing.T) {
 		t.Fatalf("after second cycle N = %d, want 320", r2.N())
 	}
 	if err := r2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storeListing maps every file under dir to its size: what a creator that
+// refuses a directory must leave untouched.
+func storeListing(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	out := make(map[string]int64)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		out[path] = info.Size()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestStoreKindMatrix drives every local constructor and opener against
+// every store kind. A directory holds one store: creators refuse any store
+// with ErrStoreExists and write nothing; a self-join opener serves a plain
+// store and a sharded one (a plain store is the one-shard group), the
+// one-shard front ends refuse more shards with ErrInvalidOptions naming
+// OpenSharded, and a store of the other join kind is ErrNoStore.
+func TestStoreKindMatrix(t *testing.T) {
+	vecs := fixtureVectors(t, 90)
+	base := t.TempDir()
+	kinds := map[string]string{
+		"plain":    filepath.Join(base, "plain"),
+		"oneshard": filepath.Join(base, "oneshard"),
+		"sharded":  filepath.Join(base, "sharded"),
+		"cross":    filepath.Join(base, "cross"),
+	}
+	mustClose := func(c interface{ Close() error }) {
+		t.Helper()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := New(vecs[:60], Options{Dir: kinds["plain"], K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustClose(c)
+	sc, err := NewSharded(vecs[:60], Options{Dir: kinds["oneshard"], K: 8, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustClose(sc)
+	if sc, err = NewSharded(vecs[:60], Options{Dir: kinds["sharded"], K: 8, Shards: 3}); err != nil {
+		t.Fatal(err)
+	}
+	mustClose(sc)
+	cj, err := NewCrossJoin(vecs[:30], vecs[30:60], Options{Dir: kinds["cross"], K: 8, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustClose(cj)
+
+	creators := map[string]func(dir string) error{
+		"New":        func(dir string) error { _, err := New(vecs, Options{Dir: dir}); return err },
+		"NewSharded": func(dir string) error { _, err := NewSharded(vecs, Options{Dir: dir, Shards: 3}); return err },
+		"NewCrossJoin": func(dir string) error {
+			_, err := NewCrossJoin(vecs[:45], vecs[45:], Options{Dir: dir, Shards: 2})
+			return err
+		},
+	}
+	for kind, dir := range kinds {
+		for name, create := range creators {
+			before := storeListing(t, dir)
+			if err := create(dir); !errors.Is(err, ErrStoreExists) {
+				t.Errorf("%s over a %s store: got %v, want ErrStoreExists", name, kind, err)
+			}
+			if after := storeListing(t, dir); !maps.Equal(before, after) {
+				t.Errorf("%s over a %s store changed the directory (%d -> %d entries)", name, kind, len(before), len(after))
+			}
+		}
+	}
+
+	openers := map[string]func(dir string) (interface{ Close() error }, error){
+		"Open":           func(dir string) (interface{ Close() error }, error) { return Open(dir, Options{}) },
+		"OpenSharded":    func(dir string) (interface{ Close() error }, error) { return OpenSharded(dir, Options{}) },
+		"OpenCrossJoin":  func(dir string) (interface{ Close() error }, error) { return OpenCrossJoin(dir, Options{}) },
+		"NewShardServer": func(dir string) (interface{ Close() error }, error) { return NewShardServer(Options{Dir: dir}) },
+	}
+	// want names the expected error per (opener, kind); nil means it opens.
+	want := map[string]map[string]error{
+		"Open":           {"plain": nil, "oneshard": nil, "sharded": ErrInvalidOptions, "cross": ErrNoStore},
+		"OpenSharded":    {"plain": nil, "oneshard": nil, "sharded": nil, "cross": ErrNoStore},
+		"OpenCrossJoin":  {"plain": ErrNoStore, "oneshard": ErrNoStore, "sharded": ErrNoStore, "cross": nil},
+		"NewShardServer": {"plain": nil, "oneshard": nil, "sharded": ErrInvalidOptions, "cross": ErrStoreExists},
+	}
+	for name, open := range openers {
+		for kind, dir := range kinds {
+			got, err := open(dir)
+			switch w := want[name][kind]; {
+			case w == nil && err != nil:
+				t.Errorf("%s of a %s store: %v", name, kind, err)
+			case w == nil:
+				mustClose(got)
+			case !errors.Is(err, w):
+				t.Errorf("%s of a %s store: got %v, want %v", name, kind, err, w)
+			case w == ErrInvalidOptions && (!strings.Contains(err.Error(), "3-shard") || !strings.Contains(err.Error(), "OpenSharded")):
+				t.Errorf("%s of a %s store: %q should name the shard count and OpenSharded", name, kind, err)
+			}
+		}
+	}
+	r, err := OpenSharded(kinds["plain"], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Shards() != 1 || r.N() != 60 {
+		t.Errorf("OpenSharded of a plain store: %d shards, n = %d; want 1 shard, n = 60", r.Shards(), r.N())
+	}
+	mustClose(r)
+}
+
+// legacyOneShardGroup is the GROUP manifest a one-shard sharded store was
+// committed with before plain stores served as one-shard groups: format 1,
+// simhash seed 17, k = 6, ℓ = 2, one shard, version word 2.
+const legacyOneShardGroup = "4c5348475250310a010773696d6861736811000000000000000106020102000000000000005eb6dc22"
+
+// Stores written in the earlier one-shard group layout — GROUP plus a plain
+// store in shard-0000 — keep opening through both self-join openers.
+func TestLegacyOneShardGroupOpens(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "group")
+	vecs := fixtureVectors(t, 40)
+	c, err := New(vecs, Options{Dir: filepath.Join(dir, "shard-0000"), K: 6, Tables: 2, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := hex.DecodeString(legacyOneShardGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "GROUP"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if o.N() != 40 || o.K() != 6 || o.Tables() != 2 {
+		t.Fatalf("Open recovered n=%d k=%d ell=%d", o.N(), o.K(), o.Tables())
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSharded(dir, Options{})
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	if s.N() != 40 || s.Shards() != 1 {
+		t.Fatalf("OpenSharded recovered n=%d shards=%d", s.N(), s.Shards())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Options.SignPanelBytes reaches every shard an entry point recovers or
+// decodes, not only the ones a constructor builds: restored indexes sign
+// their insert batches under the configured budget.
+func TestSignPanelBytesReachesEveryShard(t *testing.T) {
+	const budget = 1 << 16
+	vecs := fixtureVectors(t, 64)
+	check := func(entry string, shards ...*lsh.Index) {
+		t.Helper()
+		for s, x := range shards {
+			if got := x.SignConfig().PanelBytes; got != budget {
+				t.Errorf("%s: shard %d signs with PanelBytes %d, want %d", entry, s, got, budget)
+			}
+		}
+	}
+	groupShards := func(g *lsh.ShardGroup) []*lsh.Index {
+		out := make([]*lsh.Index, g.S())
+		for s := range out {
+			out[s] = g.Shard(s)
+		}
+		return out
+	}
+	base := t.TempDir()
+	plain, sharded, cross, served := filepath.Join(base, "plain"), filepath.Join(base, "sharded"), filepath.Join(base, "cross"), filepath.Join(base, "served")
+	for _, create := range []func() (interface{ Close() error }, error){
+		func() (interface{ Close() error }, error) { return New(vecs, Options{Dir: plain}) },
+		func() (interface{ Close() error }, error) { return NewSharded(vecs, Options{Dir: sharded, Shards: 2}) },
+		func() (interface{ Close() error }, error) {
+			return NewCrossJoin(vecs[:32], vecs[32:], Options{Dir: cross, Shards: 2})
+		},
+		func() (interface{ Close() error }, error) { return NewShardServer(Options{Dir: served}) },
+	} {
+		c, err := create()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opt := Options{SignPanelBytes: budget}
+
+	c, err := Open(plain, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Open", groupShards(c.local.ShardGroup)...)
+	c.Close()
+	sc, err := OpenSharded(sharded, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("OpenSharded", groupShards(sc.local.ShardGroup)...)
+	sc.Close()
+	cj, err := OpenCrossJoin(cross, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("OpenCrossJoin", append(groupShards(cj.left.ShardGroup), groupShards(cj.right.ShardGroup)...)...)
+	cj.Close()
+
+	o := opt
+	o.Dir = served
+	srv, err := NewShardServer(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("NewShardServer", srv.local.Shard(0), srv.srv.Index())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	rem, err := Connect([]string{ln.Addr().String()}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rem.N(); err != nil {
+		t.Fatal(err)
+	}
+	check("Connect", rem.remote.copies[0].idx)
+	rem.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 }

@@ -51,12 +51,8 @@ type front struct {
 
 // newFront serves src under opt; family is the hash family src's shards
 // hash with.
-func newFront(opt Options, family lsh.Family, src source) (*front, error) {
-	_, sim, err := familyFor(opt)
-	if err != nil {
-		return nil, err
-	}
-	return &front{opt: opt, family: family, sim: sim, src: src}, nil
+func newFront(opt Options, family lsh.Family, src source) *front {
+	return &front{opt: opt, family: family, sim: simFor(opt), src: src}
 }
 
 // must unwraps a read through an in-process source, whose capture cannot
@@ -326,8 +322,13 @@ type localSource struct {
 	closed       atomic.Bool
 }
 
-// newLocalSource wraps g and its stores, applying opt's runtime policies.
+// newLocalSource wraps g and its stores, applying opt's runtime policies:
+// every shard — built, created or recovered — signs insert batches under
+// opt's signing budget.
 func newLocalSource(opt Options, g *lsh.ShardGroup, stores []*persist.Store) *localSource {
+	for s := 0; s < g.S(); s++ {
+		g.Shard(s).SetSignConfig(opt.signConfig())
+	}
 	if opt.CheckpointBytes > 0 {
 		for _, st := range stores {
 			st.SetCheckpointBytes(opt.CheckpointBytes)
@@ -363,13 +364,11 @@ func (l *localSource) ingest(s int, vs []Vector) (int, error) {
 
 // closeStores is the one close path of every durable local front end: it
 // makes each shard of each side durable at its current version — publish,
-// then checkpoint — passes the sides' durable version vectors to manifest
-// (nil when no manifest names them), and releases the stores. It returns
-// the first error: a non-nil return means some earlier publish may not
-// have reached disk and the checkpoint could not repair it. The first
-// side's closed flag makes it idempotent; a side without stores closes
-// trivially.
-func closeStores(manifest func(versions [][]uint64) error, sides ...*localSource) error {
+// then checkpoint — and releases the stores. It returns the first error: a
+// non-nil return means some earlier publish may not have reached disk and
+// the checkpoint could not repair it. The first side's closed flag makes it
+// idempotent; a side without stores closes trivially.
+func closeStores(sides ...*localSource) error {
 	if sides[0].stores == nil || !sides[0].closed.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -379,16 +378,10 @@ func closeStores(manifest func(versions [][]uint64) error, sides ...*localSource
 			first = err
 		}
 	}
-	versions := make([][]uint64, len(sides))
-	for i, l := range sides {
-		versions[i] = make([]uint64, len(l.stores))
+	for _, l := range sides {
 		for s, st := range l.stores {
 			l.Shard(s).PublishAndThen(func(snap *lsh.Snapshot) { keep(st.Checkpoint(snap)) })
-			versions[i][s] = st.DurableVersion()
 		}
-	}
-	if manifest != nil {
-		keep(manifest(versions))
 	}
 	for _, l := range sides {
 		for _, st := range l.stores {

@@ -276,7 +276,7 @@ func (x *Index) InsertBatch(vs []vecmath.Vector) int {
 	cur := x.cur.Load()
 	var sigs *signatures
 	if len(vs) > 0 {
-		sigs = newEngine(cur.family, cur.k, cur.ell, cur.sign).sign(vs)
+		sigs = newEngine(cur.family, cur.k, cur.ell, x.sign).sign(vs)
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()

@@ -253,3 +253,48 @@ func TestEnginePanelMatchesNaive(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoredIndexSignsWithConfig: the signing configuration belongs to the
+// index's writer, not to a published version. A restored index starts at
+// the default, signs under the budget its new owner sets, keeps it across
+// publishes, and — panel streaming being output-identical — lands every
+// batch where the naive hash does.
+func TestRestoredIndexSignsWithConfig(t *testing.T) {
+	data := engineCorpus(160, 17)
+	f := NewSimHash(5)
+	cfg := SignConfig{PanelBytes: 512}
+	src, err := BuildSigned(data[:80], f, 6, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := src.Current()
+	tables := make([][]RestoredBucket, snap.L())
+	for tb := range tables {
+		snap.Table(tb).ForEachBucket(func(key string, ids []int32) bool {
+			tables[tb] = append(tables[tb], RestoredBucket{Key: key, IDs: append([]int32(nil), ids...)})
+			return true
+		})
+	}
+	x, err := RestoreIndex(f, 6, 2, snap.Version(), snap.Data(), tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := x.SignConfig(); got != (SignConfig{}) {
+		t.Fatalf("restored index signs with %+v before its owner sets a config", got)
+	}
+	x.SetSignConfig(cfg)
+	x.InsertBatch(data[80:120])
+	x.Snapshot()
+	x.InsertBatch(data[120:])
+	if got := x.SignConfig(); got != cfg {
+		t.Fatalf("after publishes the index signs with %+v, want %+v", got, cfg)
+	}
+	want := naiveKeys(data, f, 6, 2)
+	for tb := 0; tb < 2; tb++ {
+		for i := range data {
+			if got := x.Table(tb).KeyOf(i); got != want[tb][i] {
+				t.Fatalf("table %d vector %d: key %q, naive %q", tb, i, got, want[tb][i])
+			}
+		}
+	}
+}

@@ -35,6 +35,7 @@ type Index struct {
 	pendStr  [][]string // wide mode
 	scratch  []uint64   // per-writer hash scratch (guarded by mu)
 	hook     WriteHook  // durability observer (guarded by mu); nil when not persisted
+	sign     SignConfig // how InsertBatch signs; set before the index is shared
 }
 
 // WriteHook observes the index's write path under the writer lock, in
@@ -58,6 +59,15 @@ func (x *Index) SetWriteHook(h WriteHook) {
 	defer x.mu.Unlock()
 	x.hook = h
 }
+
+// SetSignConfig sets how InsertBatch signs batches (see SignConfig). Like
+// the write hook it belongs to the writer, not to a published version, so
+// an index restored from disk or from the wire signs with whatever its new
+// owner sets. It must be called before the index is shared.
+func (x *Index) SetSignConfig(cfg SignConfig) { x.sign = cfg }
+
+// SignConfig returns the signing configuration InsertBatch uses.
+func (x *Index) SignConfig() SignConfig { return x.sign }
 
 // PublishAndThen publishes any pending inserts and runs fn on the resulting
 // snapshot while still holding the writer lock, so no insert or publish can
@@ -84,7 +94,7 @@ func Build(data []vecmath.Vector, family Family, k, ell int) (*Index, error) {
 
 // BuildSigned is Build with an explicit signing configuration: a panel
 // budget for the projection cache (see SignConfig). The zero config is
-// exactly Build. The config is recorded on every published snapshot, so
+// exactly Build. The config stays with the index (see SetSignConfig), so
 // later InsertBatch signing runs under the same budget.
 func BuildSigned(data []vecmath.Vector, family Family, k, ell int, cfg SignConfig) (*Index, error) {
 	if err := validateParams(family, k, ell); err != nil {
@@ -107,7 +117,6 @@ func BuildSigned(data []vecmath.Vector, family Family, k, ell int, cfg SignConfi
 		k:       k,
 		ell:     ell,
 		narrow:  isNarrow(k, family.Bits()),
-		sign:    cfg,
 		data:    data,
 		tables:  make([]*Table, ell),
 		pool:    &sync.Pool{},
@@ -115,7 +124,7 @@ func BuildSigned(data []vecmath.Vector, family Family, k, ell int, cfg SignConfi
 	for t := 0; t < ell; t++ {
 		snap.tables[t] = sigs.table(t, k, t*k, family.Bits())
 	}
-	x := &Index{}
+	x := &Index{sign: cfg}
 	if snap.narrow {
 		x.pend64 = make([][]uint64, ell)
 	} else {
@@ -201,7 +210,6 @@ func (x *Index) publishAtLocked(version uint64) *Snapshot {
 		k:       cur.k,
 		ell:     cur.ell,
 		narrow:  cur.narrow,
-		sign:    cur.sign,
 		data:    append(cur.data, x.pendData...),
 		tables:  make([]*Table, cur.ell),
 		pool:    cur.pool,

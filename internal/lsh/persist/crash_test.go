@@ -361,7 +361,7 @@ func crossCrashRun(t *testing.T, data []vecmath.Vector, shadow crossRecord, ceil
 	fsys.Crash(keepUnsynced)
 
 	lossy := plan.Mode == faultfs.ModeBitFlip
-	lg, rg, lst, rst, meta, err := OpenCross(fsys, "xj")
+	lg, rg, lst, rst, _, err := OpenCross(fsys, "xj")
 	if err != nil {
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNotExist) {
 			t.Fatalf("recovery failed with untyped error: %v", err)
@@ -373,10 +373,9 @@ func crossCrashRun(t *testing.T, data []vecmath.Vector, shadow crossRecord, ceil
 	}
 	groups := [2]*lsh.ShardGroup{lg, rg}
 	stores := [2][]*Store{lst, rst}
-	vers := [2][]uint64{meta.LeftVersions, meta.RightVersions}
 	for side := range groups {
 		for s := 0; s < xShards; s++ {
-			v := vers[side][s]
+			v := stores[side][s].DurableVersion()
 			want, ok := shadow[side][s][v]
 			if !ok {
 				t.Fatalf("side %d shard %d recovered version %d was never published", side, s, v)

@@ -8,28 +8,28 @@ import (
 	"lshjoin/internal/lsh"
 )
 
-// A cross-join store is two independent group stores under one CROSS
+// A cross-join store is two independent self-join stores under one CROSS
 // manifest:
 //
-//	dir/CROSS        the cross manifest (family, k, shards, version vectors)
-//	dir/left/...     the left side's group store (GROUP + per-shard stores)
-//	dir/right/...    the right side's group store
+//	dir/CROSS        the cross manifest (family, k, shards per side)
+//	dir/left/...     the left side's store (see CreateGroup)
+//	dir/right/...    the right side's store
 //
 // Each side recovers exactly like a sharded store — shard by shard to its
 // last durably published version — so the recovered state is a
 // componentwise-consistent version-vector pair: every per-shard snapshot on
 // either side is one the writer published, and the bipartite estimators are
 // defined over any such pair. The CROSS manifest is written last at
-// creation, as the commit point: left/right stores without it mean the
-// manifest was lost (ErrCorrupt), a missing directory means no store.
+// creation, as the commit point: side stores without it mean the manifest
+// was lost (ErrCorrupt), a missing directory means no store.
 
 const (
 	crossLeftDir  = "left"
 	crossRightDir = "right"
 )
 
-// CrossSideDir returns the group-store directory of one side of a cross
-// store rooted at dir (left reports the left side).
+// CrossSideDir returns the store directory of one side of a cross store
+// rooted at dir (left reports the left side).
 func CrossSideDir(dir string, left bool) string {
 	if left {
 		return filepath.Join(dir, crossLeftDir)
@@ -37,18 +37,13 @@ func CrossSideDir(dir string, left bool) string {
 	return filepath.Join(dir, crossRightDir)
 }
 
-// CreateCross initializes a two-sided store for a cross join: one group
-// store per side, then the CROSS manifest as the commit point. Both sides
-// must share family, k and shard count (cross estimators require it). It
-// must complete before either group is shared with writers.
+// CreateCross initializes a two-sided store for a cross join: one store
+// per side (see CreateGroup), then the CROSS manifest as the commit point.
+// Both sides must share family, k and shard count (cross estimators require
+// it). It must complete before either group is shared with writers.
 func CreateCross(fsys faultfs.FS, dir string, left, right *lsh.ShardGroup) (leftStores, rightStores []*Store, err error) {
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, nil, fmt.Errorf("persist: create cross %s: %w", dir, err)
-	}
-	if _, err := fsys.ReadFile(filepath.Join(dir, crossName)); err == nil {
-		return nil, nil, fmt.Errorf("persist: %s: %w", dir, ErrExists)
-	} else if !faultfs.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("persist: create cross %s: %w", dir, err)
+	if err := vacant(fsys, dir); err != nil {
+		return nil, nil, err
 	}
 	spec, err := lsh.SpecOf(left.Family())
 	if err != nil {
@@ -65,14 +60,12 @@ func CreateCross(fsys faultfs.FS, dir string, left, right *lsh.ShardGroup) (left
 		return nil, nil, fmt.Errorf("left side: %w", err)
 	}
 	if rightStores, err = CreateGroup(fsys, CrossSideDir(dir, false), right); err != nil {
+		closeAll(leftStores...)
 		return nil, nil, fmt.Errorf("right side: %w", err)
 	}
-	meta := CrossMeta{
-		Family: spec, K: left.K(), Shards: left.S(),
-		LeftVersions:  groupVersions(leftStores),
-		RightVersions: groupVersions(rightStores),
-	}
-	if err := WriteCrossManifest(fsys, dir, meta); err != nil {
+	meta := CrossMeta{Family: spec, K: left.K(), Shards: left.S()}
+	if err := (&Store{fs: fsys, dir: dir}).writeFileSync(crossName, encodeCrossManifest(meta)); err != nil {
+		closeAll(append(leftStores, rightStores...)...)
 		return nil, nil, err
 	}
 	return leftStores, rightStores, nil
@@ -80,27 +73,19 @@ func CreateCross(fsys faultfs.FS, dir string, left, right *lsh.ShardGroup) (left
 
 // OpenCross recovers a two-sided store: the CROSS manifest names the shared
 // shape, then each side recovers independently through OpenGroup, shard by
-// shard, to its last durably published version. The returned meta carries
-// the recovered version-vector pair.
+// shard, to its last durably published version. A directory holding a
+// self-join store reports ErrNotExist.
 func OpenCross(fsys faultfs.FS, dir string) (left, right *lsh.ShardGroup, leftStores, rightStores []*Store, meta CrossMeta, err error) {
 	fail := func(err error) (*lsh.ShardGroup, *lsh.ShardGroup, []*Store, []*Store, CrossMeta, error) {
-		for _, st := range leftStores {
-			st.Close()
-		}
-		for _, st := range rightStores {
-			st.Close()
-		}
+		closeAll(append(leftStores, rightStores...)...)
 		return nil, nil, nil, nil, meta, err
 	}
-	mdata, err := fsys.ReadFile(filepath.Join(dir, crossName))
+	l, mdata, err := probe(fsys, dir)
 	if err != nil {
-		if !faultfs.IsNotExist(err) {
-			return fail(fmt.Errorf("persist: open cross %s: %w", dir, err))
-		}
-		if hasCrossFiles(fsys, dir) {
-			return fail(fmt.Errorf("persist: %s has side stores but no cross manifest: %w", dir, ErrCorrupt))
-		}
-		return fail(fmt.Errorf("persist: %s: %w", dir, ErrNotExist))
+		return fail(err)
+	}
+	if l != crossLayout {
+		return fail(notExist(dir, l))
 	}
 	if meta, err = decodeCrossManifest(mdata); err != nil {
 		return fail(err)
@@ -117,29 +102,5 @@ func OpenCross(fsys faultfs.FS, dir string) (left, right *lsh.ShardGroup, leftSt
 			return fail(corrupt("persist: cross manifest and side store disagree on family or shape"))
 		}
 	}
-	meta.LeftVersions, meta.RightVersions = lmeta.Versions, rmeta.Versions
 	return left, right, leftStores, rightStores, meta, nil
-}
-
-// WriteCrossManifest atomically (re)writes the CROSS manifest.
-func WriteCrossManifest(fsys faultfs.FS, dir string, m CrossMeta) error {
-	st := &Store{fs: fsys, dir: dir}
-	return st.writeFileSync(crossName, encodeCrossManifest(m))
-}
-
-// hasCrossFiles reports whether side-store state exists under dir, probed
-// by file (not directory listing: the fault filesystem's ReadDir lists
-// files only). Side stores without the CROSS commit point mean the cross
-// manifest was lost.
-func hasCrossFiles(fsys faultfs.FS, dir string) bool {
-	for _, side := range []string{crossLeftDir, crossRightDir} {
-		sd := filepath.Join(dir, side)
-		if _, err := fsys.ReadFile(filepath.Join(sd, groupName)); err == nil {
-			return true
-		}
-		if names, err := fsys.ReadDir(sd); err == nil && (hasGroupFiles(names) || hasStoreFiles(names)) {
-			return true
-		}
-	}
-	return false
 }

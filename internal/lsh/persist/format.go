@@ -51,6 +51,12 @@ const (
 
 	formatVersion = 1
 
+	// manifestFormat versions the GROUP and CROSS manifests. Format 1 also
+	// carried per-shard version words that nothing read (each shard's own
+	// MANIFEST is authoritative); format 2 records shape only, and the
+	// decoders skip the words of format 1.
+	manifestFormat = 2
+
 	// Decode limits: corrupted lengths must not drive huge allocations.
 	maxNameLen = 64
 	maxEll     = 1 << 12
@@ -520,200 +526,169 @@ func decodeManifest(data []byte) (uint64, error) {
 	return v, nil
 }
 
-// GroupMeta is the sharded store's group manifest: the shared hashing
-// parameters plus the per-shard snapshot versions at the last group write
-// (informational — each shard's own manifest is authoritative for
-// recovery).
+// GroupMeta is the sharded store's GROUP manifest: the shape every shard
+// shares — hashing parameters and shard count. Each shard's own manifest is
+// authoritative for its state.
 type GroupMeta struct {
-	Family   lsh.FamilySpec
-	K, Ell   int
-	Shards   int
-	Versions []uint64
+	Family lsh.FamilySpec
+	K, Ell int
+	Shards int
 }
 
-// encodeGroupManifest frames a GroupMeta.
+// CrossMeta is the two-sided (cross-join) store's CROSS manifest: the shape
+// both sides share. Cross joins stratify by a single bipartite matching, so
+// ℓ is always 1.
+type CrossMeta struct {
+	Family lsh.FamilySpec
+	K      int
+	Shards int // per side
+}
+
+// encodeGroupManifest frames a GroupMeta: magic, format, family spec, k, ℓ,
+// shard count, checksum.
 func encodeGroupManifest(m GroupMeta) []byte {
-	buf := []byte(groupMagic)
-	buf = binary.AppendUvarint(buf, formatVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Family.Name)))
-	buf = append(buf, m.Family.Name...)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Family.Seed)
-	buf = binary.AppendUvarint(buf, uint64(m.Family.Bits))
-	buf = binary.AppendUvarint(buf, uint64(m.K))
+	buf := appendShapeHead([]byte(groupMagic), m.Family, m.K)
 	buf = binary.AppendUvarint(buf, uint64(m.Ell))
 	buf = binary.AppendUvarint(buf, uint64(m.Shards))
-	for s := 0; s < m.Shards; s++ {
-		v := uint64(0)
-		if s < len(m.Versions) {
-			v = m.Versions[s]
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, v)
-	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 }
 
-// decodeGroupManifest inverts encodeGroupManifest.
+// decodeGroupManifest inverts encodeGroupManifest, and skips the per-shard
+// version words of format 1.
 func decodeGroupManifest(data []byte) (GroupMeta, error) {
 	var m GroupMeta
-	if len(data) < len(groupMagic)+4 || string(data[:len(groupMagic)]) != groupMagic {
-		return m, corrupt("persist: bad group manifest")
-	}
-	body := data[:len(data)-4]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return m, corrupt("persist: group manifest checksum mismatch")
-	}
-	c := &cursor{data: body, off: len(groupMagic)}
-	fv, err := c.uvarint()
+	c, fv, err := openManifest(data, groupMagic, "group")
 	if err != nil {
 		return m, err
 	}
-	if fv != formatVersion {
-		return m, corrupt("persist: unsupported group format version %d", fv)
-	}
-	nameLen, err := c.uvarint()
-	if err != nil {
-		return m, err
-	}
-	if nameLen > maxNameLen {
-		return m, corrupt("persist: family name length %d", nameLen)
-	}
-	name, err := c.bytes(int(nameLen))
-	if err != nil {
-		return m, err
-	}
-	m.Family.Name = string(name)
-	if m.Family.Seed, err = c.u64(); err != nil {
-		return m, err
-	}
-	bits, err := c.uvarint()
-	if err != nil {
-		return m, err
-	}
-	m.Family.Bits = int(bits)
-	k, err := c.uvarint()
-	if err != nil {
+	if m.Family, m.K, err = c.shapeHead(); err != nil {
 		return m, err
 	}
 	ell, err := c.uvarint()
 	if err != nil {
 		return m, err
 	}
-	shards, err := c.uvarint()
+	shards, err := c.shardCount(fv, 1)
 	if err != nil {
 		return m, err
 	}
-	if k < 1 || k > maxK || ell < 1 || ell > maxEll || shards < 1 || shards > lsh.MaxShards {
+	if ell < 1 || ell > maxEll {
 		return m, corrupt("persist: group parameters out of range")
 	}
-	m.K, m.Ell, m.Shards = int(k), int(ell), int(shards)
-	m.Versions = make([]uint64, m.Shards)
-	for s := 0; s < m.Shards; s++ {
-		if m.Versions[s], err = c.u64(); err != nil {
-			return m, err
-		}
-	}
+	m.Ell, m.Shards = int(ell), shards
 	if c.rem() != 0 {
 		return m, corrupt("persist: %d trailing bytes in group manifest", c.rem())
 	}
 	return m, nil
 }
 
-// CrossMeta is the two-sided (cross-join) store's CROSS manifest: the
-// hashing parameters shared by both sides plus the per-shard snapshot
-// version vector of each side at the last cross write (informational —
-// each side's group store is authoritative for recovery). Cross joins
-// stratify by a single bipartite matching, so ℓ is always 1.
-type CrossMeta struct {
-	Family lsh.FamilySpec
-	K      int
-	Shards int // per side
-	LeftVersions,
-	RightVersions []uint64
-}
-
-// encodeCrossManifest frames a CrossMeta.
+// encodeCrossManifest frames a CrossMeta: magic, format, family spec, k,
+// shard count, checksum.
 func encodeCrossManifest(m CrossMeta) []byte {
-	buf := []byte(crossMagic)
-	buf = binary.AppendUvarint(buf, formatVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Family.Name)))
-	buf = append(buf, m.Family.Name...)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Family.Seed)
-	buf = binary.AppendUvarint(buf, uint64(m.Family.Bits))
-	buf = binary.AppendUvarint(buf, uint64(m.K))
+	buf := appendShapeHead([]byte(crossMagic), m.Family, m.K)
 	buf = binary.AppendUvarint(buf, uint64(m.Shards))
-	for _, side := range [][]uint64{m.LeftVersions, m.RightVersions} {
-		for s := 0; s < m.Shards; s++ {
-			v := uint64(0)
-			if s < len(side) {
-				v = side[s]
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, v)
-		}
-	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 }
 
-// decodeCrossManifest inverts encodeCrossManifest.
+// decodeCrossManifest inverts encodeCrossManifest, and skips the two
+// per-side version vectors of format 1.
 func decodeCrossManifest(data []byte) (CrossMeta, error) {
 	var m CrossMeta
-	if len(data) < len(crossMagic)+4 || string(data[:len(crossMagic)]) != crossMagic {
-		return m, corrupt("persist: bad cross manifest")
-	}
-	body := data[:len(data)-4]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return m, corrupt("persist: cross manifest checksum mismatch")
-	}
-	c := &cursor{data: body, off: len(crossMagic)}
-	fv, err := c.uvarint()
+	c, fv, err := openManifest(data, crossMagic, "cross")
 	if err != nil {
 		return m, err
 	}
-	if fv != formatVersion {
-		return m, corrupt("persist: unsupported cross format version %d", fv)
-	}
-	nameLen, err := c.uvarint()
-	if err != nil {
+	if m.Family, m.K, err = c.shapeHead(); err != nil {
 		return m, err
 	}
-	if nameLen > maxNameLen {
-		return m, corrupt("persist: family name length %d", nameLen)
-	}
-	name, err := c.bytes(int(nameLen))
-	if err != nil {
+	if m.Shards, err = c.shardCount(fv, 2); err != nil {
 		return m, err
-	}
-	m.Family.Name = string(name)
-	if m.Family.Seed, err = c.u64(); err != nil {
-		return m, err
-	}
-	bits, err := c.uvarint()
-	if err != nil {
-		return m, err
-	}
-	m.Family.Bits = int(bits)
-	k, err := c.uvarint()
-	if err != nil {
-		return m, err
-	}
-	shards, err := c.uvarint()
-	if err != nil {
-		return m, err
-	}
-	if k < 1 || k > maxK || shards < 1 || shards > lsh.MaxShards {
-		return m, corrupt("persist: cross parameters out of range")
-	}
-	m.K, m.Shards = int(k), int(shards)
-	m.LeftVersions = make([]uint64, m.Shards)
-	m.RightVersions = make([]uint64, m.Shards)
-	for _, side := range [][]uint64{m.LeftVersions, m.RightVersions} {
-		for s := 0; s < m.Shards; s++ {
-			if side[s], err = c.u64(); err != nil {
-				return m, err
-			}
-		}
 	}
 	if c.rem() != 0 {
 		return m, corrupt("persist: %d trailing bytes in cross manifest", c.rem())
 	}
 	return m, nil
+}
+
+// appendShapeHead starts a GROUP or CROSS manifest: magic, format, then the
+// family spec and k.
+func appendShapeHead(buf []byte, spec lsh.FamilySpec, k int) []byte {
+	buf = binary.AppendUvarint(buf, manifestFormat)
+	buf = binary.AppendUvarint(buf, uint64(len(spec.Name)))
+	buf = append(buf, spec.Name...)
+	buf = binary.LittleEndian.AppendUint64(buf, spec.Seed)
+	buf = binary.AppendUvarint(buf, uint64(spec.Bits))
+	return binary.AppendUvarint(buf, uint64(k))
+}
+
+// openManifest checks a GROUP or CROSS manifest's magic and checksum and
+// returns a cursor over its body past the format word, and the format.
+func openManifest(data []byte, magic, kind string) (*cursor, uint64, error) {
+	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
+		return nil, 0, corrupt("persist: bad %s manifest", kind)
+	}
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return nil, 0, corrupt("persist: %s manifest checksum mismatch", kind)
+	}
+	c := &cursor{data: body, off: len(magic)}
+	fv, err := c.uvarint()
+	if err != nil {
+		return nil, 0, err
+	}
+	if fv != 1 && fv != manifestFormat {
+		return nil, 0, corrupt("persist: unsupported %s format version %d", kind, fv)
+	}
+	return c, fv, nil
+}
+
+// shapeHead reads what appendShapeHead wrote after the format word.
+func (c *cursor) shapeHead() (lsh.FamilySpec, int, error) {
+	var spec lsh.FamilySpec
+	nameLen, err := c.uvarint()
+	if err != nil {
+		return spec, 0, err
+	}
+	if nameLen > maxNameLen {
+		return spec, 0, corrupt("persist: family name length %d", nameLen)
+	}
+	name, err := c.bytes(int(nameLen))
+	if err != nil {
+		return spec, 0, err
+	}
+	spec.Name = string(name)
+	if spec.Seed, err = c.u64(); err != nil {
+		return spec, 0, err
+	}
+	bits, err := c.uvarint()
+	if err != nil {
+		return spec, 0, err
+	}
+	spec.Bits = int(bits)
+	k, err := c.uvarint()
+	if err != nil {
+		return spec, 0, err
+	}
+	if k < 1 || k > maxK {
+		return spec, 0, corrupt("persist: manifest k = %d out of range", k)
+	}
+	return spec, int(k), nil
+}
+
+// shardCount reads a manifest's shard count. In format 1 the count was
+// followed by version vectors, one word per shard per vector; it skips them.
+func (c *cursor) shardCount(fv uint64, vectors int) (int, error) {
+	shards, err := c.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if shards < 1 || shards > lsh.MaxShards {
+		return 0, corrupt("persist: manifest shard count %d out of range", shards)
+	}
+	if fv == 1 {
+		if _, err := c.bytes(8 * vectors * int(shards)); err != nil {
+			return 0, err
+		}
+	}
+	return int(shards), nil
 }

@@ -32,14 +32,13 @@ func fuzzSeedBlobs(tb testing.TB) [][]byte {
 	blobs = append(blobs, wal)
 	blobs = append(blobs, encodeGroupManifest(GroupMeta{
 		Family: lsh.FamilySpec{Name: "simhash", Seed: 9, Bits: 1},
-		K:      4, Ell: 2, Shards: 3, Versions: []uint64{1, 2, 3},
+		K:      4, Ell: 2, Shards: 3,
 	}))
 	blobs = append(blobs, encodeCrossManifest(CrossMeta{
 		Family: lsh.FamilySpec{Name: "simhash", Seed: 11, Bits: 1},
 		K:      4, Shards: 2,
-		LeftVersions: []uint64{2, 5}, RightVersions: []uint64{3, 1},
 	}))
-	return blobs
+	return append(blobs, format1Group, format1OneShardGroup, format1Cross)
 }
 
 // FuzzSnapshotDecode asserts the whole decode surface never panics on

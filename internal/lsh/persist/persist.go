@@ -2,11 +2,20 @@
 // follows the snapshot discipline of the in-memory layer: immutable
 // published versions are the durability unit.
 //
-// A store directory holds three kinds of files:
+// A plain store — the durable home of one index — holds three kinds of
+// files:
 //
 //	MANIFEST        names the latest durable checkpoint version v
 //	snap-<v>.lsnap  the checkpointed snapshot (format.go)
 //	wal-<v>.log     a delta log whose records extend version v (wal.go)
+//
+// A directory holds one store of one layout, named by its commit point — the
+// file its creator writes last: MANIFEST for a plain store, GROUP for a
+// sharded store (one plain store per shard under shard-NNNN), CROSS for a
+// cross join (one self-join store per side, cross.go). A one-shard group is
+// a plain store. probe reads the commit points; creators refuse a directory
+// holding any layout (ErrExists), and openers of another layout report
+// ErrNotExist.
 //
 // Checkpoints are written cold-path atomic: snapshot to a temp file, fsync,
 // rename, directory fsync, then the manifest the same way, then a fresh
@@ -130,18 +139,13 @@ type Store struct {
 	ckptDone        chan struct{}
 }
 
-// Create initializes a fresh store in dir from the index's current state
-// (publishing any pending inserts) and installs the write hook. It must
-// complete before the index is shared with concurrent writers. Creating
-// over an existing store reports ErrExists.
+// Create initializes a fresh plain store in dir from the index's current
+// state (publishing any pending inserts) and installs the write hook. It
+// must complete before the index is shared with concurrent writers.
+// Creating over an existing store of any layout reports ErrExists.
 func Create(fsys faultfs.FS, dir string, idx *lsh.Index) (*Store, error) {
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("persist: create %s: %w", dir, err)
-	}
-	if _, err := fsys.ReadFile(filepath.Join(dir, manifestName)); err == nil {
-		return nil, fmt.Errorf("persist: %s: %w", dir, ErrExists)
-	} else if !faultfs.IsNotExist(err) {
-		return nil, fmt.Errorf("persist: create %s: %w", dir, err)
+	if err := vacant(fsys, dir); err != nil {
+		return nil, err
 	}
 	st := &Store{fs: fsys, dir: dir, checkpointBytes: DefaultCheckpointBytes}
 	st.ckptMu.Lock()
@@ -156,25 +160,25 @@ func Create(fsys faultfs.FS, dir string, idx *lsh.Index) (*Store, error) {
 	return st, nil
 }
 
-// Open recovers the store in dir: the manifest's checkpoint is loaded, the
-// delta log's valid prefix replayed (a torn tail is truncated, never
-// served), and the write hook installed on the recovered index. It must
-// complete before the index is shared. A directory without a store reports
-// ErrNotExist; one whose contents fail validation reports ErrCorrupt.
+// Open recovers the plain store in dir: the manifest's checkpoint is
+// loaded, the delta log's valid prefix replayed (a torn tail is truncated,
+// never served), and the write hook installed on the recovered index. It
+// must complete before the index is shared. A directory without a plain
+// store reports ErrNotExist; one whose contents fail validation reports
+// ErrCorrupt.
 func Open(fsys faultfs.FS, dir string) (*lsh.Index, *Store, error) {
-	mdata, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+	l, mdata, err := probe(fsys, dir)
 	if err != nil {
-		if !faultfs.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("persist: open %s: %w", dir, err)
-		}
-		// No manifest. An empty or missing directory is "no store"; store
-		// files without a manifest mean the manifest was lost — corrupt.
-		names, derr := fsys.ReadDir(dir)
-		if derr == nil && hasStoreFiles(names) {
-			return nil, nil, fmt.Errorf("persist: %s has store files but no manifest: %w", dir, ErrCorrupt)
-		}
-		return nil, nil, fmt.Errorf("persist: %s: %w", dir, ErrNotExist)
+		return nil, nil, err
 	}
+	if l != plainLayout {
+		return nil, nil, notExist(dir, l)
+	}
+	return openPlain(fsys, dir, mdata)
+}
+
+// openPlain recovers the plain store in dir whose MANIFEST holds mdata.
+func openPlain(fsys faultfs.FS, dir string, mdata []byte) (*lsh.Index, *Store, error) {
 	v, err := decodeManifest(mdata)
 	if err != nil {
 		return nil, nil, err
@@ -300,18 +304,87 @@ func replay(idx *lsh.Index, st *Store, recs []walRec) error {
 	return nil
 }
 
-// hasStoreFiles reports whether any directory entry looks like store state
-// (temp files from an interrupted create don't count).
-func hasStoreFiles(names []string) bool {
-	for _, name := range names {
-		if name == manifestName || name == groupName {
-			return true
-		}
-		if filepath.Ext(name) == ".lsnap" || filepath.Ext(name) == ".log" {
-			return true
+// layout is what a directory holds, named by its commit point.
+type layout int
+
+const (
+	noLayout layout = iota
+	plainLayout
+	groupLayout
+	crossLayout
+)
+
+// commitNames maps each layout to its commit point.
+var commitNames = [...]string{plainLayout: manifestName, groupLayout: groupName, crossLayout: crossName}
+
+func (l layout) String() string {
+	return [...]string{"no", "plain", "sharded", "cross-join"}[l]
+}
+
+// probe reports the layout dir holds and its commit point's bytes. A
+// missing or empty directory holds noLayout. More than one commit point is
+// ErrCorrupt, and so are store files or sub-stores under none — the commit
+// point was lost (temp files of an interrupted create don't count).
+func probe(fsys faultfs.FS, dir string) (layout, []byte, error) {
+	found, data := noLayout, []byte(nil)
+	for l := plainLayout; l <= crossLayout; l++ {
+		b, err := fsys.ReadFile(filepath.Join(dir, commitNames[l]))
+		switch {
+		case err == nil && found != noLayout:
+			return noLayout, nil, corrupt("persist: %s holds both %s and %s", dir, commitNames[found], commitNames[l])
+		case err == nil:
+			found, data = l, b
+		case !faultfs.IsNotExist(err):
+			return noLayout, nil, fmt.Errorf("persist: open %s: %w", dir, err)
 		}
 	}
-	return false
+	if found != noLayout {
+		return found, data, nil
+	}
+	names, err := fsys.ReadDir(dir)
+	if err != nil {
+		return noLayout, nil, nil
+	}
+	for _, name := range names {
+		if ext := filepath.Ext(name); ext == ".lsnap" || ext == ".log" {
+			return noLayout, nil, corrupt("persist: %s has store files but no manifest", dir)
+		}
+	}
+	// Sub-stores are probed by name: the fault filesystem lists files only.
+	for _, sub := range []string{shardDirName(0), crossLeftDir, crossRightDir} {
+		if l, _, err := probe(fsys, filepath.Join(dir, sub)); l != noLayout || errors.Is(err, ErrCorrupt) {
+			return noLayout, nil, corrupt("persist: %s has sub-stores but no manifest", dir)
+		}
+	}
+	return noLayout, nil, nil
+}
+
+// vacant makes dir and checks that it holds no store of any layout.
+func vacant(fsys faultfs.FS, dir string) error {
+	if err := fsys.MkdirAll(dir); err != nil {
+		return fmt.Errorf("persist: create %s: %w", dir, err)
+	}
+	l, _, err := probe(fsys, dir)
+	if err == nil && l != noLayout {
+		err = fmt.Errorf("persist: %s holds a %s store: %w", dir, l, ErrExists)
+	}
+	return err
+}
+
+// notExist reports that dir holds no store of the layout an opener wants,
+// naming the layout it does hold.
+func notExist(dir string, got layout) error {
+	if got == noLayout {
+		return fmt.Errorf("persist: %s: %w", dir, ErrNotExist)
+	}
+	return fmt.Errorf("persist: %s holds a %s store: %w", dir, got, ErrNotExist)
+}
+
+// closeAll releases stores on an error path.
+func closeAll(stores ...*Store) {
+	for _, st := range stores {
+		st.Close()
+	}
 }
 
 // Err returns the sticky failure, if any. While non-nil, inserts are not
@@ -693,94 +766,93 @@ func shardDirName(s int) string { return fmt.Sprintf("shard-%04d", s) }
 // rooted at dir.
 func ShardDir(dir string, s int) string { return filepath.Join(dir, shardDirName(s)) }
 
-// CreateGroup initializes a sharded store: one sub-store per shard plus the
-// GROUP manifest, written last as the commit point. It must complete before
-// the group is shared with writers.
+// CreateGroup initializes a store for g. A one-shard group is a plain
+// store, written exactly as Create writes it. A larger one gets one plain
+// store per shard plus the GROUP manifest, written last as the commit
+// point. It must complete before the group is shared with writers.
 func CreateGroup(fsys faultfs.FS, dir string, g *lsh.ShardGroup) ([]*Store, error) {
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("persist: create group %s: %w", dir, err)
+	if g.S() == 1 {
+		st, err := Create(fsys, dir, g.Shard(0))
+		if err != nil {
+			return nil, err
+		}
+		return []*Store{st}, nil
 	}
-	if _, err := fsys.ReadFile(filepath.Join(dir, groupName)); err == nil {
-		return nil, fmt.Errorf("persist: %s: %w", dir, ErrExists)
-	} else if !faultfs.IsNotExist(err) {
-		return nil, fmt.Errorf("persist: create group %s: %w", dir, err)
+	if err := vacant(fsys, dir); err != nil {
+		return nil, err
 	}
 	spec, err := lsh.SpecOf(g.Family())
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	stores := make([]*Store, g.S())
+	stores := make([]*Store, 0, g.S())
 	for s := 0; s < g.S(); s++ {
-		if stores[s], err = Create(fsys, ShardDir(dir, s), g.Shard(s)); err != nil {
+		st, err := Create(fsys, ShardDir(dir, s), g.Shard(s))
+		if err != nil {
+			closeAll(stores...)
 			return nil, err
 		}
+		stores = append(stores, st)
 	}
-	meta := GroupMeta{Family: spec, K: g.K(), Ell: g.L(), Shards: g.S(), Versions: groupVersions(stores)}
-	if err := WriteGroupManifest(fsys, dir, meta); err != nil {
+	meta := GroupMeta{Family: spec, K: g.K(), Ell: g.L(), Shards: g.S()}
+	if err := (&Store{fs: fsys, dir: dir}).writeFileSync(groupName, encodeGroupManifest(meta)); err != nil {
+		closeAll(stores...)
 		return nil, err
 	}
 	return stores, nil
 }
 
-// OpenGroup recovers a sharded store: the GROUP manifest names the shape,
-// each shard recovers independently through Open, and the reassembled group
-// routes exactly as the one that wrote the stores.
+// OpenGroup recovers the self-join store in dir as a shard group. A plain
+// store opens as the one-shard group, its meta taken from the recovered
+// index. A GROUP store's manifest names the shape, each shard recovers
+// independently through Open, and the reassembled group routes exactly as
+// the one that wrote the stores. On error every shard already recovered is
+// released.
 func OpenGroup(fsys faultfs.FS, dir string) (*lsh.ShardGroup, []*Store, GroupMeta, error) {
 	var meta GroupMeta
-	mdata, err := fsys.ReadFile(filepath.Join(dir, groupName))
-	if err != nil {
-		if !faultfs.IsNotExist(err) {
-			return nil, nil, meta, fmt.Errorf("persist: open group %s: %w", dir, err)
-		}
-		names, derr := fsys.ReadDir(dir)
-		if derr == nil && hasGroupFiles(names) {
-			return nil, nil, meta, fmt.Errorf("persist: %s has shard stores but no group manifest: %w", dir, ErrCorrupt)
-		}
-		return nil, nil, meta, fmt.Errorf("persist: %s: %w", dir, ErrNotExist)
-	}
-	if meta, err = decodeGroupManifest(mdata); err != nil {
+	var stores []*Store
+	fail := func(err error) (*lsh.ShardGroup, []*Store, GroupMeta, error) {
+		closeAll(stores...)
 		return nil, nil, meta, err
+	}
+	l, mdata, err := probe(fsys, dir)
+	if err != nil {
+		return fail(err)
+	}
+	var idxs []*lsh.Index
+	switch l {
+	case plainLayout:
+		idx, st, err := openPlain(fsys, dir, mdata)
+		if err != nil {
+			return fail(err)
+		}
+		idxs, stores = []*lsh.Index{idx}, []*Store{st}
+		spec, err := lsh.SpecOf(idx.Family())
+		if err != nil {
+			return fail(corrupt("persist: %v", err))
+		}
+		meta = GroupMeta{Family: spec, K: idx.K(), Ell: idx.L(), Shards: 1}
+	case groupLayout:
+		if meta, err = decodeGroupManifest(mdata); err != nil {
+			return fail(err)
+		}
+		for s := 0; s < meta.Shards; s++ {
+			idx, st, err := Open(fsys, ShardDir(dir, s))
+			if err != nil {
+				return fail(fmt.Errorf("shard %d: %w", s, err))
+			}
+			idxs, stores = append(idxs, idx), append(stores, st)
+		}
+	default:
+		return fail(notExist(dir, l))
 	}
 	family, err := lsh.FamilyFromSpec(meta.Family)
 	if err != nil {
-		return nil, nil, meta, corrupt("persist: %v", err)
-	}
-	idxs := make([]*lsh.Index, meta.Shards)
-	stores := make([]*Store, meta.Shards)
-	for s := 0; s < meta.Shards; s++ {
-		if idxs[s], stores[s], err = Open(fsys, ShardDir(dir, s)); err != nil {
-			return nil, nil, meta, fmt.Errorf("shard %d: %w", s, err)
-		}
+		return fail(corrupt("persist: %v", err))
 	}
 	g, err := lsh.NewShardGroupFromIndexes(family, meta.K, meta.Ell, idxs)
 	if err != nil {
-		return nil, nil, meta, corrupt("persist: %v", err)
+		return fail(corrupt("persist: %v", err))
 	}
-	meta.Versions = groupVersions(stores)
 	return g, stores, meta, nil
-}
-
-// WriteGroupManifest atomically (re)writes the GROUP manifest.
-func WriteGroupManifest(fsys faultfs.FS, dir string, m GroupMeta) error {
-	st := &Store{fs: fsys, dir: dir}
-	return st.writeFileSync(groupName, encodeGroupManifest(m))
-}
-
-// groupVersions collects the per-shard durable versions.
-func groupVersions(stores []*Store) []uint64 {
-	out := make([]uint64, len(stores))
-	for s, st := range stores {
-		out[s] = st.DurableVersion()
-	}
-	return out
-}
-
-// hasGroupFiles reports whether names contains shard store directories.
-func hasGroupFiles(names []string) bool {
-	for _, name := range names {
-		if len(name) >= 6 && name[:6] == "shard-" {
-			return true
-		}
-	}
-	return false
 }

@@ -2,8 +2,11 @@ package persist
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lshjoin/internal/faultfs"
@@ -660,8 +663,7 @@ func TestChainDamageCorrupt(t *testing.T) {
 }
 
 // TestGroupRoundtrip: a sharded store reopens as a group that routes and
-// samples identically, with the GROUP manifest carrying the shard version
-// vector.
+// samples identically, every shard at its last durable version.
 func TestGroupRoundtrip(t *testing.T) {
 	fsys := faultfs.NewMem()
 	data := testData(60, 91)
@@ -687,20 +689,13 @@ func TestGroupRoundtrip(t *testing.T) {
 			}
 		})
 	}
-	meta := GroupMeta{
-		Family: mustSpec(t, g.Family()), K: g.K(), Ell: g.L(), Shards: g.S(),
-		Versions: groupVersions(stores),
-	}
-	if err := WriteGroupManifest(fsys, "grp", meta); err != nil {
-		t.Fatal(err)
-	}
 	for _, st := range stores {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	g2, stores2, meta2, err := OpenGroup(fsys, "grp")
+	g2, stores2, _, err := OpenGroup(fsys, "grp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -709,8 +704,8 @@ func TestGroupRoundtrip(t *testing.T) {
 	}
 	for s := 0; s < g.S(); s++ {
 		snapshotsEqual(t, want[s], g2.Shard(s).Current(), 90+uint64(s))
-		if meta2.Versions[s] != want[s].Version() {
-			t.Fatalf("shard %d manifest version %d, want %d", s, meta2.Versions[s], want[s].Version())
+		if got := stores2[s].DurableVersion(); got != want[s].Version() {
+			t.Fatalf("shard %d durable version %d, want %d", s, got, want[s].Version())
 		}
 	}
 	// Routing must agree vector-for-vector, or reopened inserts would land
@@ -803,13 +798,7 @@ func TestCrossRoundtrip(t *testing.T) {
 			}
 		})
 	}
-	meta := CrossMeta{
-		Family: mustSpec(t, left.Family()), K: left.K(), Shards: left.S(),
-		LeftVersions: groupVersions(ls), RightVersions: groupVersions(rs),
-	}
-	if err := WriteCrossManifest(fsys, "xj", meta); err != nil {
-		t.Fatal(err)
-	}
+	meta := CrossMeta{Family: mustSpec(t, left.Family()), K: left.K(), Shards: left.S()}
 	for _, st := range append(ls, rs...) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
@@ -826,9 +815,8 @@ func TestCrossRoundtrip(t *testing.T) {
 	for s := 0; s < left.S(); s++ {
 		snapshotsEqual(t, wantL[s], left2.Shard(s).Current(), 150+uint64(s))
 		snapshotsEqual(t, wantR[s], right2.Shard(s).Current(), 160+uint64(s))
-		if meta2.LeftVersions[s] != wantL[s].Version() || meta2.RightVersions[s] != wantR[s].Version() {
-			t.Fatalf("recovered versions (%d,%d), want (%d,%d)",
-				meta2.LeftVersions[s], meta2.RightVersions[s], wantL[s].Version(), wantR[s].Version())
+		if gl, gr := ls2[s].DurableVersion(), rs2[s].DurableVersion(); gl != wantL[s].Version() || gr != wantR[s].Version() {
+			t.Fatalf("recovered versions (%d,%d), want (%d,%d)", gl, gr, wantL[s].Version(), wantR[s].Version())
 		}
 	}
 	// Routing must agree side by side after reopen.
@@ -854,6 +842,270 @@ func TestCrossRoundtrip(t *testing.T) {
 	}
 	if _, _, _, _, _, err := OpenCross(fsys, "xj"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("cross store without manifest: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// Format-1 GROUP and CROSS manifests, as stores written before manifests
+// recorded shape only committed them: the version words follow the shard
+// count. Stores carrying them must keep opening.
+var (
+	// simhash seed 17, k = 6, ℓ = 2, three shards, versions 2, 3, 4.
+	format1Group = mustHex("4c5348475250310a010773696d686173681100000000000000010602030200000000000000030000000000000004000000000000000f107403")
+	// simhash seed 17, k = 6, ℓ = 2, one shard, version 2.
+	format1OneShardGroup = mustHex("4c5348475250310a010773696d6861736811000000000000000106020102000000000000005eb6dc22")
+	// simhash seed 29, k = 6, two shards, versions (2, 5) and (3, 1).
+	format1Cross = mustHex("4c5348584a4e310a010773696d686173681d00000000000000010602020000000000000005000000000000000300000000000000010000000000000008c32584")
+)
+
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestManifestFormat1 decodes the format-1 manifests to their shapes and
+// opens stores committed with them: a sharded store, a cross store, and the
+// earlier one-shard group layout (GROUP plus a plain store in shard-0000).
+func TestManifestFormat1(t *testing.T) {
+	simhash := func(seed uint64) lsh.FamilySpec { return lsh.FamilySpec{Name: "simhash", Seed: seed, Bits: 1} }
+	gm, err := decodeGroupManifest(format1Group)
+	if want := (GroupMeta{Family: simhash(17), K: 6, Ell: 2, Shards: 3}); err != nil || gm != want {
+		t.Fatalf("format-1 group manifest decodes to %+v, %v; want %+v", gm, err, want)
+	}
+	gm, err = decodeGroupManifest(format1OneShardGroup)
+	if want := (GroupMeta{Family: simhash(17), K: 6, Ell: 2, Shards: 1}); err != nil || gm != want {
+		t.Fatalf("format-1 one-shard group manifest decodes to %+v, %v; want %+v", gm, err, want)
+	}
+	xm, err := decodeCrossManifest(format1Cross)
+	if want := (CrossMeta{Family: simhash(29), K: 6, Shards: 2}); err != nil || xm != want {
+		t.Fatalf("format-1 cross manifest decodes to %+v, %v; want %+v", xm, err, want)
+	}
+
+	fsys := faultfs.NewMem()
+	data := testData(60, 93)
+	closeAll := func(stores []*Store) {
+		for _, st := range stores {
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	requireGroup := func(want, got *lsh.ShardGroup, seed uint64) {
+		t.Helper()
+		if got.S() != want.S() || got.K() != want.K() || got.L() != want.L() || got.Family() != want.Family() {
+			t.Fatalf("group shape mismatch")
+		}
+		for s := 0; s < want.S(); s++ {
+			snapshotsEqual(t, want.Shard(s).Current(), got.Shard(s).Current(), seed+uint64(s))
+		}
+	}
+
+	g, err := lsh.NewShardGroup(data[:40], lsh.NewSimHash(17), 6, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores, err := CreateGroup(fsys, "grp", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeAll(stores)
+	writeRaw(t, fsys, filepath.Join("grp", groupName), format1Group)
+	g2, stores, _, err := OpenGroup(fsys, "grp")
+	if err != nil {
+		t.Fatalf("OpenGroup under a format-1 manifest: %v", err)
+	}
+	requireGroup(g, g2, 210)
+	closeAll(stores)
+
+	left, err := lsh.NewShardGroup(data[:20], lsh.NewSimHash(29), 6, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := lsh.NewShardGroup(data[20:40], lsh.NewSimHash(29), 6, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, rs, err := CreateCross(fsys, "xj", left, right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeAll(append(ls, rs...))
+	writeRaw(t, fsys, filepath.Join("xj", crossName), format1Cross)
+	left2, right2, ls, rs, _, err := OpenCross(fsys, "xj")
+	if err != nil {
+		t.Fatalf("OpenCross under a format-1 manifest: %v", err)
+	}
+	requireGroup(left, left2, 220)
+	requireGroup(right, right2, 230)
+	closeAll(append(ls, rs...))
+
+	idx, err := lsh.Build(data[40:], lsh.NewSimHash(17), 6, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Create(fsys, ShardDir("one", 0), idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeAll([]*Store{st})
+	writeRaw(t, fsys, filepath.Join("one", groupName), format1OneShardGroup)
+	g1, stores, meta, err := OpenGroup(fsys, "one")
+	if err != nil {
+		t.Fatalf("OpenGroup of the one-shard group layout: %v", err)
+	}
+	if meta.Shards != 1 {
+		t.Fatalf("one-shard group opened with %d shards", meta.Shards)
+	}
+	snapshotsEqual(t, idx.Current(), g1.Shard(0).Current(), 240)
+	closeAll(stores)
+}
+
+// TestProbeLayouts: a plain store opens as the one-shard group, its meta
+// taken from the recovered index; two commit points in one directory, or
+// sub-stores under none, are corrupt; and every creator refuses a directory
+// holding any layout.
+func TestProbeLayouts(t *testing.T) {
+	fsys := faultfs.NewMem()
+	data := testData(30, 97)
+	idx, err := lsh.Build(data, lsh.NewSimHash(31), 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Create(fsys, "plain", idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	g, stores, meta, err := OpenGroup(fsys, "plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (GroupMeta{Family: mustSpec(t, idx.Family()), K: 5, Ell: 2, Shards: 1}); meta != want {
+		t.Fatalf("plain store opened with meta %+v, want %+v", meta, want)
+	}
+	snapshotsEqual(t, idx.Current(), g.Shard(0).Current(), 250)
+	stores[0].Close()
+
+	one, err := lsh.NewShardGroup(data, lsh.NewSimHash(31), 5, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := lsh.NewShardGroup(data, lsh.NewSimHash(31), 5, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CreateGroup(fsys, "plain", two); !errors.Is(err, ErrExists) {
+		t.Fatalf("CreateGroup over a plain store: %v, want ErrExists", err)
+	}
+	if _, _, err := CreateCross(fsys, "plain", two, two); !errors.Is(err, ErrExists) {
+		t.Fatalf("CreateCross over a plain store: %v, want ErrExists", err)
+	}
+	if _, _, _, _, _, err := OpenCross(fsys, "plain"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("OpenCross of a plain store: %v, want ErrNotExist", err)
+	}
+	stores, err = CreateGroup(fsys, "grp", two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stores {
+		st.Close()
+	}
+	if _, err := CreateGroup(fsys, "grp", one); !errors.Is(err, ErrExists) {
+		t.Fatalf("one-shard CreateGroup over a sharded store: %v, want ErrExists", err)
+	}
+	if _, _, err := Open(fsys, "grp"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("Open of a sharded store: %v, want ErrNotExist", err)
+	}
+
+	writeRaw(t, fsys, filepath.Join("grp", manifestName), encodeManifest(1))
+	if _, _, _, err := OpenGroup(fsys, "grp"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("two commit points: %v, want ErrCorrupt", err)
+	}
+	if err := fsys.Remove(filepath.Join("grp", manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Remove(filepath.Join("grp", groupName)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := OpenGroup(fsys, "grp"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("shard stores without GROUP: %v, want ErrCorrupt", err)
+	}
+}
+
+// countingFS wraps a filesystem and counts the file handles it holds open.
+type countingFS struct {
+	faultfs.FS
+	open atomic.Int64
+}
+
+func (c *countingFS) Create(name string) (faultfs.File, error) { return c.track(c.FS.Create(name)) }
+func (c *countingFS) Append(name string) (faultfs.File, error) { return c.track(c.FS.Append(name)) }
+
+func (c *countingFS) track(f faultfs.File, err error) (faultfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	c.open.Add(1)
+	return &countedFile{File: f, fs: c}, nil
+}
+
+type countedFile struct {
+	faultfs.File
+	fs   *countingFS
+	once sync.Once
+}
+
+func (f *countedFile) Close() error {
+	f.once.Do(func() { f.fs.open.Add(-1) })
+	return f.File.Close()
+}
+
+// TestFailedOpenReleasesShards: a group or cross open that fails on one
+// shard releases the delta logs of every shard it had already recovered.
+func TestFailedOpenReleasesShards(t *testing.T) {
+	mem := faultfs.NewMem()
+	data := testData(60, 99)
+	g, err := lsh.NewShardGroup(data[:30], lsh.NewSimHash(37), 6, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores, err := CreateGroup(mem, "grp", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, err := lsh.NewShardGroup(data[30:45], lsh.NewSimHash(37), 6, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := lsh.NewShardGroup(data[45:], lsh.NewSimHash(37), 6, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, rs, err := CreateCross(mem, "xj", left, right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range append(append(stores, ls...), rs...) {
+		st.Close()
+	}
+	garbage := []byte("not a manifest")
+	writeRaw(t, mem, filepath.Join(ShardDir("grp", 2), manifestName), garbage)
+	writeRaw(t, mem, filepath.Join(ShardDir(CrossSideDir("xj", false), 2), manifestName), garbage)
+
+	fsys := &countingFS{FS: mem}
+	if _, _, _, err := OpenGroup(fsys, "grp"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenGroup with a corrupt shard: %v, want ErrCorrupt", err)
+	}
+	if n := fsys.open.Load(); n != 0 {
+		t.Fatalf("failed OpenGroup left %d file handles open", n)
+	}
+	if _, _, _, _, _, err := OpenCross(fsys, "xj"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenCross with a corrupt shard: %v, want ErrCorrupt", err)
+	}
+	if n := fsys.open.Load(); n != 0 {
+		t.Fatalf("failed OpenCross left %d file handles open", n)
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 
 // Exported hooks for the network serving layer (internal/shardrpc and the
 // public RemoteCollection). A coordinator that fetches per-shard snapshots
-// over the wire needs exactly three things the sharded layer already does
-// in-process: route a vector to its home shard without holding the shards,
-// start an empty per-shard index on the serving side, and reassemble fetched
-// snapshots into the GroupSnapshot the merged estimators consume.
+// over the wire needs what the sharded layer already does in-process: route
+// vectors to their home shards without holding the shards, and reassemble
+// fetched snapshots into the GroupSnapshot the merged estimators consume. A
+// serving side starts its empty shard as the one-shard group over no
+// vectors (NewShardGroupSigned).
 
 // RouteVector returns the home shard of v in an s-shard partition under the
 // same consistent key-hash routing a ShardGroup uses: jump consistent hash
@@ -67,16 +68,6 @@ func RouteBatch(vs []vecmath.Vector, s int, ingest func(shard int, run []vecmath
 		next[sh]++
 	}
 	return ids, nil
-}
-
-// NewEmptyIndex constructs a writable zero-vector Index (version 1, empty
-// tables) — the starting state of a shard server, which unlike Build begins
-// with no corpus and grows through streamed ingest.
-func NewEmptyIndex(family Family, k, ell int) (*Index, error) {
-	if err := validateParams(family, k, ell); err != nil {
-		return nil, err
-	}
-	return emptyIndex(family, k, ell), nil
 }
 
 // NewGroupSnapshot assembles fetched per-shard snapshots into the group view

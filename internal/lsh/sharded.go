@@ -95,6 +95,9 @@ func NewShardGroup(data []vecmath.Vector, family Family, k, ell, s int) (*ShardG
 
 // NewShardGroupSigned is NewShardGroup with an explicit signing
 // configuration applied to every shard (see SignConfig and BuildSigned).
+// With s == 1 the single shard is exactly BuildSigned(data, family, k, ell,
+// cfg) — bit-identical — or, for empty data, a writable zero-vector index
+// (version 1, empty tables) that grows through ingest.
 func NewShardGroupSigned(data []vecmath.Vector, family Family, k, ell, s int, cfg SignConfig) (*ShardGroup, error) {
 	if err := validateParams(family, k, ell); err != nil {
 		return nil, err
@@ -148,12 +151,8 @@ func NewShardGroupFromIndexes(family Family, k, ell int, shards []*Index) (*Shar
 	return &ShardGroup{family: family, k: k, ell: ell, shards: shards}, nil
 }
 
-// emptyIndex constructs a zero-vector Index (version 1, empty tables) for
-// shards the initial routing left unpopulated.
-func emptyIndex(family Family, k, ell int) *Index {
-	return emptyIndexSigned(family, k, ell, SignConfig{})
-}
-
+// emptyIndexSigned constructs a zero-vector Index (version 1, empty tables)
+// for shards the initial routing left unpopulated.
 func emptyIndexSigned(family Family, k, ell int, cfg SignConfig) *Index {
 	narrow := isNarrow(k, family.Bits())
 	snap := &Snapshot{
@@ -162,7 +161,6 @@ func emptyIndexSigned(family Family, k, ell int, cfg SignConfig) *Index {
 		k:       k,
 		ell:     ell,
 		narrow:  narrow,
-		sign:    cfg,
 		tables:  make([]*Table, ell),
 		pool:    &sync.Pool{},
 	}
@@ -173,7 +171,7 @@ func emptyIndexSigned(family Family, k, ell int, cfg SignConfig) *Index {
 			snap.tables[t] = newTableStr(nil, k, t*k, family.Bits())
 		}
 	}
-	x := &Index{}
+	x := &Index{sign: cfg}
 	if narrow {
 		x.pend64 = make([][]uint64, ell)
 	} else {

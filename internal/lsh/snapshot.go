@@ -23,7 +23,6 @@ type Snapshot struct {
 	family  Family
 	k, ell  int
 	narrow  bool
-	sign    SignConfig // how this index signs insert batches; zero = default
 	data    []vecmath.Vector
 	tables  []*Table
 

@@ -33,11 +33,11 @@ func testVectors(n int) []vecmath.Vector {
 func startServer(t *testing.T, opt ServerOptions) (*Server, string) {
 	t.Helper()
 	family := lsh.NewSimHash(7)
-	idx, err := lsh.NewEmptyIndex(family, 6, 3)
+	g, err := lsh.NewShardGroup(nil, family, 6, 3, 1)
 	if err != nil {
-		t.Fatalf("NewEmptyIndex: %v", err)
+		t.Fatalf("NewShardGroup: %v", err)
 	}
-	srv := NewServer(idx, opt)
+	srv := NewServer(g.Shard(0), opt)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)

@@ -63,8 +63,8 @@ type Server struct {
 	blob    []byte
 }
 
-// NewServer wraps an index (typically lsh.NewEmptyIndex, or a recovered
-// durable one) as a shard server. Call Serve to accept connections.
+// NewServer wraps an index (typically the empty shard of a one-shard
+// lsh.ShardGroup, or a recovered durable one) as a shard server. Call Serve to accept connections.
 func NewServer(idx *lsh.Index, opt ServerOptions) *Server {
 	epoch := rand.Uint64()
 	for epoch == 0 {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"lshjoin/internal/core"
-	"lshjoin/internal/faultfs"
 	"lshjoin/internal/lsh"
 	"lshjoin/internal/lsh/persist"
 	"lshjoin/internal/vecmath"
@@ -72,11 +71,12 @@ type Options struct {
 	Shards int
 	// Dir, when non-empty, makes the collection durable: New, NewSharded and
 	// NewCrossJoin create a crash-safe store there (one sub-store per shard
-	// for a sharded collection; two group stores under one cross manifest for
-	// a cross join) and every published version is persisted — checkpointed
-	// snapshots plus an fsynced delta log. Reopen with Open, OpenSharded or
-	// OpenCrossJoin; call Close to checkpoint on shutdown. See the durability
-	// section of the package documentation for the exact guarantees.
+	// for a sharded collection of more than one shard; one store per side
+	// under a cross manifest for a cross join) and every published version
+	// is persisted — checkpointed snapshots plus an fsynced delta log.
+	// Reopen with Open, OpenSharded or OpenCrossJoin; call Close to
+	// checkpoint on shutdown. See the durability section of the package
+	// documentation for the exact guarantees.
 	Dir string
 	// CheckpointBytes tunes the background checkpoint threshold of a durable
 	// collection: once the delta-log bytes a recovery would replay exceed it,
@@ -120,6 +120,17 @@ func familyFor(opt Options) (lsh.Family, core.SimFunc, error) {
 	}
 }
 
+// simFor is familyFor's similarity function for options an entry point has
+// validated (Options.validated rejects an unknown measure), so it cannot
+// fail.
+func simFor(opt Options) core.SimFunc {
+	_, sim, err := familyFor(opt)
+	if err != nil {
+		panic(err)
+	}
+	return sim
+}
+
 // Collection is an indexed vector collection: the entry point for join size
 // estimation, exact joins, and similarity search.
 //
@@ -140,52 +151,33 @@ type Collection struct {
 // store is created there (ErrStoreExists if one already is) and every
 // published version persists across restarts; reopen with Open.
 func New(vectors []Vector, opt Options) (*Collection, error) {
-	opt, family, err := corpusOptions(vectors, opt)
+	opt, err := corpusOptions(vectors, opt)
 	if err != nil {
 		return nil, err
 	}
-	index, err := lsh.BuildSigned(vectors, family, opt.K, opt.Tables, opt.signConfig())
+	opt.Shards = 1
+	group, stores, err := createGroup(vectors, opt)
 	if err != nil {
-		return nil, fmt.Errorf("lshjoin: %w", err)
+		return nil, err
 	}
-	var stores []*persist.Store
-	if opt.Dir != "" {
-		st, err := persist.Create(faultfs.OS{}, opt.Dir, index)
-		if err != nil {
-			return nil, fmt.Errorf("lshjoin: %w", err)
-		}
-		stores = []*persist.Store{st}
-	}
-	return newCollection(opt, index, stores)
+	return newCollection(opt, group, stores), nil
 }
 
 // corpusOptions normalizes opt for a constructor indexing vectors, which
-// needs at least two of them, and resolves the hash family.
-func corpusOptions(vectors []Vector, opt Options) (Options, lsh.Family, error) {
+// needs at least two of them.
+func corpusOptions(vectors []Vector, opt Options) (Options, error) {
 	opt, err := opt.normalized()
-	if err != nil {
-		return opt, nil, err
+	if err == nil && len(vectors) < 2 {
+		err = fmt.Errorf("lshjoin: need at least 2 vectors, got %d", len(vectors))
 	}
-	if len(vectors) < 2 {
-		return opt, nil, fmt.Errorf("lshjoin: need at least 2 vectors, got %d", len(vectors))
-	}
-	family, _, err := familyFor(opt)
-	return opt, family, err
+	return opt, err
 }
 
-// newCollection serves one index, and its store when durable, as the
-// single-shard case of the shared read path.
-func newCollection(opt Options, index *lsh.Index, stores []*persist.Store) (*Collection, error) {
-	g, err := lsh.NewShardGroupFromIndexes(index.Family(), index.K(), index.L(), []*lsh.Index{index})
-	if err != nil {
-		return nil, fmt.Errorf("lshjoin: %w", err)
-	}
+// newCollection serves a one-shard group, and its store when durable,
+// through the shared read path.
+func newCollection(opt Options, g *lsh.ShardGroup, stores []*persist.Store) *Collection {
 	local := newLocalSource(opt, g, stores)
-	f, err := newFront(opt, g.Family(), local)
-	if err != nil {
-		return nil, err
-	}
-	return &Collection{front: f, local: local}, nil
+	return &Collection{front: newFront(opt, g.Family(), local), local: local}
 }
 
 // N returns the number of vectors (including all completed Inserts).

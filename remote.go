@@ -97,6 +97,7 @@ type RemoteCollection struct {
 type remoteSource struct {
 	family  lsh.Family
 	k, ell  int
+	sign    lsh.SignConfig // how the copies sign the vectors a delta ships
 	clients []*shardrpc.Client
 	copies  []remoteShard
 }
@@ -173,13 +174,8 @@ func Connect(addrs []string, opt Options, ropts ...RemoteOption) (*RemoteCollect
 		closeAll()
 		return nil, err
 	}
-	remote := &remoteSource{family: family, k: opt.K, ell: opt.Tables, clients: clients, copies: make([]remoteShard, len(addrs))}
-	f, err := newFront(opt, family, remote)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	return &RemoteCollection{front: f, remote: remote}, nil
+	remote := &remoteSource{family: family, k: opt.K, ell: opt.Tables, sign: opt.signConfig(), clients: clients, copies: make([]remoteShard, len(addrs))}
+	return &RemoteCollection{front: newFront(opt, family, remote), remote: remote}, nil
 }
 
 // Close closes every shard connection. The shard servers themselves — and
@@ -277,6 +273,7 @@ func (c *remoteSource) applyFetch(s int, sh *remoteShard) (*lsh.Snapshot, error)
 	if snap.Family() != c.family || snap.K() != c.k || snap.L() != c.ell {
 		return nil, fmt.Errorf("snapshot blob hashes with a different identity: %w", ErrShardProtocol)
 	}
+	idx.SetSignConfig(c.sign)
 	sh.idx, sh.epoch = idx, f.Epoch
 	return snap, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"lshjoin/internal/faultfs"
 	"lshjoin/internal/lsh"
 	"lshjoin/internal/lsh/persist"
 )
@@ -31,12 +30,12 @@ type ShardedCollection struct {
 
 // NewSharded indexes the vectors across Options.Shards shards (default 1).
 // The collection keeps references to the vectors; callers must not mutate
-// them afterwards. With Options.Dir set, a durable group store is created
-// there — one crash-safe sub-store per shard plus a group manifest — and
-// every published shard version persists across restarts; reopen with
-// OpenSharded.
+// them afterwards. With Options.Dir set, a durable store is created there —
+// one crash-safe sub-store per shard plus a group manifest, or with one
+// shard the plain store New writes — and every published shard version
+// persists across restarts; reopen with OpenSharded.
 func NewSharded(vectors []Vector, opt Options) (*ShardedCollection, error) {
-	opt, family, err := corpusOptions(vectors, opt)
+	opt, err := corpusOptions(vectors, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -45,28 +44,18 @@ func NewSharded(vectors []Vector, opt Options) (*ShardedCollection, error) {
 	if opt.Shards > 1 && bits.UintSize < 64 {
 		return nil, fmt.Errorf("lshjoin: Shards > 1 requires a 64-bit platform (vector ids pack shard and local index into one int)")
 	}
-	group, err := lsh.NewShardGroupSigned(vectors, family, opt.K, opt.Tables, opt.Shards, opt.signConfig())
+	group, stores, err := createGroup(vectors, opt)
 	if err != nil {
-		return nil, fmt.Errorf("lshjoin: %w", err)
+		return nil, err
 	}
-	var stores []*persist.Store
-	if opt.Dir != "" {
-		if stores, err = persist.CreateGroup(faultfs.OS{}, opt.Dir, group); err != nil {
-			return nil, fmt.Errorf("lshjoin: %w", err)
-		}
-	}
-	return newSharded(opt, group, stores)
+	return newSharded(opt, group, stores), nil
 }
 
 // newSharded serves group, and its stores when durable, through the shared
 // read path.
-func newSharded(opt Options, group *lsh.ShardGroup, stores []*persist.Store) (*ShardedCollection, error) {
+func newSharded(opt Options, group *lsh.ShardGroup, stores []*persist.Store) *ShardedCollection {
 	local := newLocalSource(opt, group, stores)
-	f, err := newFront(opt, group.Family(), local)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardedCollection{front: f, local: local}, nil
+	return &ShardedCollection{front: newFront(opt, group.Family(), local), local: local}
 }
 
 // Shards returns the shard count S.

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync/atomic"
 
-	"lshjoin/internal/faultfs"
 	"lshjoin/internal/lsh"
 	"lshjoin/internal/lsh/persist"
 	"lshjoin/internal/shardrpc"
@@ -36,7 +35,9 @@ type ShardServer struct {
 // fresh in-memory index; with Dir set, an existing store is recovered
 // (adopt-or-assert on the hashing fields) or a fresh one created.
 // Shards, if set, must be 1 — one server owns one shard; run S processes
-// for S shards. Call Serve to accept connections.
+// for S shards. A directory holding a store of more shards reports
+// ErrInvalidOptions, one holding a cross join ErrStoreExists. Call Serve to
+// accept connections.
 func NewShardServer(opt Options) (*ShardServer, error) {
 	if opt.Shards > 1 {
 		return nil, fmt.Errorf("%w: Shards = %d, but a shard server owns exactly one shard (run one server per shard)", ErrInvalidOptions, opt.Shards)
@@ -45,54 +46,32 @@ func NewShardServer(opt Options) (*ShardServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var idx *lsh.Index
-	var stores []*persist.Store
 	if opt.Dir != "" {
-		idx, store, err := persist.Open(faultfs.OS{}, opt.Dir)
-		switch {
-		case err == nil:
-			stores = []*persist.Store{store}
-			if opt, err = adoptStore(opt, idx); err != nil {
-				store.Close()
-				return nil, err
-			}
-			return newShardServer(opt, idx, stores)
-		case !errors.Is(err, ErrNoStore):
-			return nil, fmt.Errorf("lshjoin: %w", err)
+		o, group, stores, err := openGroup(opt.Dir, opt, true)
+		if err == nil {
+			return newShardServer(o, group, stores), nil
+		}
+		if !errors.Is(err, ErrNoStore) {
+			return nil, err
 		}
 	}
 	if opt, err = opt.normalized(); err != nil {
 		return nil, err
 	}
-	family, _, err := familyFor(opt)
+	group, stores, err := createGroup(nil, opt)
 	if err != nil {
 		return nil, err
 	}
-	if idx, err = lsh.NewEmptyIndex(family, opt.K, opt.Tables); err != nil {
-		return nil, fmt.Errorf("lshjoin: %w", err)
-	}
-	if opt.Dir != "" {
-		store, err := persist.Create(faultfs.OS{}, opt.Dir, idx)
-		if err != nil {
-			return nil, fmt.Errorf("lshjoin: %w", err)
-		}
-		stores = []*persist.Store{store}
-	}
-	return newShardServer(opt, idx, stores)
+	return newShardServer(opt, group, stores), nil
 }
 
-// newShardServer serves idx, and its store when durable.
-func newShardServer(opt Options, idx *lsh.Index, stores []*persist.Store) (*ShardServer, error) {
-	g, err := lsh.NewShardGroupFromIndexes(idx.Family(), idx.K(), idx.L(), []*lsh.Index{idx})
-	if err != nil {
-		closeAll(stores...)
-		return nil, fmt.Errorf("lshjoin: %w", err)
-	}
+// newShardServer serves the one-shard group g, and its store when durable.
+func newShardServer(opt Options, g *lsh.ShardGroup, stores []*persist.Store) *ShardServer {
 	return &ShardServer{
 		opt:   opt,
 		local: newLocalSource(opt, g, stores),
-		srv:   shardrpc.NewServer(idx, shardrpc.ServerOptions{PublishEvery: opt.PublishEvery}),
-	}, nil
+		srv:   shardrpc.NewServer(g.Shard(0), shardrpc.ServerOptions{PublishEvery: opt.PublishEvery}),
+	}
 }
 
 // Serve accepts connections on ln until Close, blocking; it returns nil
@@ -107,7 +86,7 @@ func (s *ShardServer) Close() error {
 		return nil
 	}
 	err := s.srv.Close()
-	if cerr := closeStores(nil, s.local); cerr != nil {
+	if cerr := closeStores(s.local); cerr != nil {
 		return cerr
 	}
 	return err
